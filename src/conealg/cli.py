@@ -33,6 +33,7 @@ from .generators import (
 )
 from .lattice import LatticePoint2, cone, hilbert_basis, slope_descending
 from .monomials import (
+    GRADING_SYMBOLS,
     BigradedMonomial,
     Monomial,
     MonomialParseError,
@@ -73,6 +74,8 @@ def _csv_names(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(","))
     if not all(names):
         raise argparse.ArgumentTypeError("variable names must be nonempty")
+    if set(names) & set(GRADING_SYMBOLS):
+        raise argparse.ArgumentTypeError("u and v name the grading and cannot be variables")
     return names
 
 
@@ -93,6 +96,8 @@ def _infer_variables(*texts: str) -> tuple[str, ...]:
     seen: list[str] = []
     for text in texts:
         for match in _IDENT.finditer(text):
+            if match.group(0) in GRADING_SYMBOLS:
+                raise ValueError("u and v name the grading and cannot be variables")
             if match.group(0) not in seen:
                 seen.append(match.group(0))
     return tuple(seen)
@@ -104,10 +109,10 @@ def _json_dumps(payload: dict) -> str:
 
 # --- generators JSON format ---
 
-def generators_to_json(
+def _generators_payload(
     variables: Sequence[str], gens: Sequence[BigradedMonomial]
-) -> str:
-    payload = {
+) -> dict:
+    return {
         "format_version": 1,
         "variables": list(variables),
         "generators": [
@@ -119,7 +124,12 @@ def generators_to_json(
             for bm in gens
         ],
     }
-    return _json_dumps(payload)
+
+
+def generators_to_json(
+    variables: Sequence[str], gens: Sequence[BigradedMonomial]
+) -> str:
+    return _json_dumps(_generators_payload(variables, gens))
 
 
 def generators_from_json(
@@ -309,20 +319,7 @@ def _cmd_fan_algebra(args) -> int:
         r_max, s_max = args.verify
         report = verify_fan_algebra(spec, gens, r_max, s_max)
     if args.format == "json":
-        payload = {
-            "format_version": 1,
-            "variables": list(spec.variables),
-            "generators": [
-                {
-                    "coeff": {
-                        v: e for v, e in zip(spec.variables, bm.coeff.exponents) if e
-                    },
-                    "u": bm.degree.r,
-                    "v": bm.degree.s,
-                }
-                for bm in gens
-            ],
-        }
+        payload = _generators_payload(spec.variables, gens)
         if report is not None:
             payload["verification"] = _verification_json(report)
         print(_json_dumps(payload))

@@ -12,12 +12,14 @@ decision procedure used here.
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
 from .fans import Fan, build_fan, fan_order, locate
-from .generators import VerificationReport
-from .lattice import LatticePoint2, decompose_over, hilbert_basis, slope_descending
+from .generators import VerificationReport, _verify_grid
+from .lattice import LatticePoint2, hilbert_basis, slope_descending
 from .monomials import (
+    GRADING_SYMBOLS,
     BigradedMonomial,
     Monomial,
     MonomialIdeal,
@@ -164,15 +166,21 @@ class FanAlgebraSpec:
         return self.functions[0].fan
 
 
+def _product_of_powers(
+    nvars: int, factors: Iterable[tuple[MonomialIdeal, int]], max_candidates: Optional[int]
+) -> MonomialIdeal:
+    """The product of ideal^m over the (ideal, m) factors; (1) if there are none."""
+    powers = [ideal_power(ideal, m, max_candidates) for ideal, m in factors]
+    if not powers:
+        return MonomialIdeal(nvars, [unit_monomial(nvars)])
+    return reduce(lambda x, y: ideal_product(x, y, max_candidates), powers)
+
+
 def _component_on_cone(
     spec: FanAlgebraSpec, i: int, p: LatticePoint2, max_candidates: Optional[int]
 ) -> MonomialIdeal:
-    nvars = len(spec.variables)
-    component = MonomialIdeal(nvars, [unit_monomial(nvars)])
-    for ideal, f in zip(spec.ideals, spec.functions):
-        power = ideal_power(ideal, f.piece_value(i, p), max_candidates)
-        component = ideal_product(component, power, max_candidates)
-    return component
+    factors = [(ideal, f.piece_value(i, p)) for ideal, f in zip(spec.ideals, spec.functions)]
+    return _product_of_powers(len(spec.variables), factors, max_candidates)
 
 
 def graded_component(
@@ -247,43 +255,28 @@ def verify_fan_algebra(
     max_candidates: Optional[int] = None,
 ) -> VerificationReport:
     """Check that every graded component on [0..r_max] x [0..s_max] equals the
-    product of generator components along a Hilbert decomposition of (r, s).
+    product of generator components along the bracketing unimodular pair of
+    Hilbert basis elements of (r, s).
 
     The component at a Hilbert degree is rebuilt from the supplied generators,
     so missing or tampered generators surface as reported failures.
     """
-    if r_max < 0 or s_max < 0:
-        raise ValueError("grid bounds must be nonnegative")
     by_degree: dict[LatticePoint2, set[Monomial]] = {}
     for g in gens:
         by_degree.setdefault(g.degree, set()).add(g.coeff)
-    bases = [slope_descending(hilbert_basis(c).elements) for c in spec.fan.cones]
     nvars = len(spec.variables)
-    total = (r_max + 1) * (s_max + 1)
-    failures = 0
-    first = reason = None
-    for r in range(r_max + 1):
-        for s in range(s_max + 1):
-            p = LatticePoint2(r, s)
-            i = locate(spec.fan, p)
-            elements = [e for e in bases[i] if e in by_degree]
-            multiplicities = decompose_over(p, elements)
-            if multiplicities is None:
-                why = "no decomposition into available generator degrees"
-            else:
-                product = MonomialIdeal(nvars, [unit_monomial(nvars)])
-                for e, m in multiplicities.items():
-                    factor = ideal_power(
-                        MonomialIdeal(nvars, by_degree[e]), m, max_candidates
-                    )
-                    product = ideal_product(product, factor, max_candidates)
-                if product == graded_component(spec, r, s, max_candidates):
-                    continue
-                why = "generator component product differs from the graded component"
-            failures += 1
-            if first is None:
-                first, reason = p, why
-    return VerificationReport(failures == 0, total, failures, first, reason)
+    ideals = {d: MonomialIdeal(nvars, coeffs) for d, coeffs in by_degree.items()}
+    chains = [slope_descending(hilbert_basis(c).elements) for c in spec.fan.cones]
+    reasons = (
+        "no decomposition into available generator degrees",
+        "generator component product differs from the graded component",
+    )
+    return _verify_grid(
+        spec.fan, chains, ideals, r_max, s_max,
+        lambda factors: _product_of_powers(nvars, factors, max_candidates),
+        lambda r, s: graded_component(spec, r, s, max_candidates),
+        reasons,
+    )
 
 
 def principal_cap_maximal_power(
@@ -386,6 +379,10 @@ def load_fan_algebra_spec(text: str) -> FanAlgebraSpec:
             raise SpecFormatError(f"variables[{i}]: expected an identifier, got {name!r}")
         if name in variables:
             raise SpecFormatError(f"variables[{i}]: duplicate name {name!r}")
+        if name in GRADING_SYMBOLS:
+            raise SpecFormatError(
+                f"variables[{i}]: {name!r} names the grading and cannot be a variable"
+            )
         variables.append(name)
 
     exponents = {}

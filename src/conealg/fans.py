@@ -6,11 +6,12 @@ the chain of cones spanned by consecutive rays (b_i, a_i), bracketed by the
 sentinel rays (0,1) and (1,0); together they cover the first quadrant.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Sequence
 
-from .lattice import Cone2, LatticePoint2, cone_contains, primitive
+from .lattice import Cone2, LatticePoint2, det, primitive
 
 
 def _check_exponent_vector(name: str, v: tuple[int, ...]) -> None:
@@ -92,8 +93,7 @@ def build_fan(a: Sequence[int], b: Sequence[int]) -> Fan:
 
 def locate(fan: Fan, p: LatticePoint2) -> int:
     """Index of the first cone containing p; boundary points resolve to the
-    lower index.  Total on N^2 because the cones cover the first quadrant."""
-    for i, c in enumerate(fan.cones):
-        if cone_contains(c, p):
-            return i
-    raise AssertionError(f"fan does not cover {p}")
+    lower index.  Total on N^2 because the cones cover the first quadrant:
+    "p is at least as steep as ray_low" is false, then true along the fan
+    (true at the last cone, whose ray_low is (1,0)), so bisection finds it."""
+    return bisect_left(fan.cones, True, key=lambda c: det(c.ray_low, p) >= 0)

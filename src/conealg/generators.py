@@ -12,11 +12,11 @@ generators.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .fans import Fan, build_fan, fan_order, locate
-from .lattice import LatticePoint2, decompose_over, hilbert_basis, slope_descending
-from .monomials import BigradedMonomial, principal_intersection, unit_monomial
+from .lattice import LatticePoint2, hilbert_basis, slope_descending, unimodular_decomposition
+from .monomials import BigradedMonomial, principal_intersection
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,43 @@ class VerificationReport:
         )
 
 
+def _verify_grid(
+    fan: Fan,
+    chains: Sequence[Sequence[LatticePoint2]],
+    available: Mapping[LatticePoint2, object],
+    r_max: int,
+    s_max: int,
+    product: Callable[[list], object],
+    component: Callable[[int, int], object],
+    reasons: tuple[str, str],
+) -> VerificationReport:
+    """The grid loop of both verifiers.  Each (r, s) is written along the
+    bracketing unimodular pair of ``chains[i]``, the slope-descending Hilbert
+    chain of its cone i; if that fails or uses a degree not in ``available``,
+    the cell fails with ``reasons[0]``.  Otherwise ``product`` of the
+    (available[degree], multiplicity) factors must equal ``component(r, s)``,
+    or the cell fails with ``reasons[1]``."""
+    if r_max < 0 or s_max < 0:
+        raise ValueError("grid bounds must be nonnegative")
+    failures = 0
+    first = reason = None
+    for r in range(r_max + 1):
+        for s in range(s_max + 1):
+            p = LatticePoint2(r, s)
+            pairs = unimodular_decomposition(p, chains[locate(fan, p)])
+            if pairs is None or any(e not in available for e, _ in pairs):
+                why = reasons[0]
+            elif product([(available[e], m) for e, m in pairs]) == component(r, s):
+                continue
+            else:
+                why = reasons[1]
+            failures += 1
+            if first is None:
+                first, reason = p, why
+    total = (r_max + 1) * (s_max + 1)
+    return VerificationReport(failures == 0, total, failures, first, reason)
+
+
 def verify_generation(
     a: Sequence[int],
     b: Sequence[int],
@@ -113,41 +150,35 @@ def verify_generation(
     """Check that every graded component on [0..r_max] x [0..s_max] is a
     product of the supplied generators.
 
-    For each (r, s): locate its cone, decompose it into the cone's Hilbert
-    elements still present in ``gens``, multiply the matching coefficients,
-    and compare with the componentwise-max oracle.  Failures are reported,
-    never raised.
+    For each (r, s): locate its cone, write (r, s) along the bracketing
+    unimodular pair of the cone's Hilbert elements, add the exponents of those
+    generators (which must be in ``gens``) with their multiplicities, and
+    compare with the componentwise-max oracle.  Failures are reported, never
+    raised.
     """
     a, b = tuple(a), tuple(b)
-    if r_max < 0 or s_max < 0:
-        raise ValueError("grid bounds must be nonnegative")
+    if len(a) != len(b):
+        raise ValueError("exponent vectors must have the same length")
     present = set(gens.generators)
-    cone_data = []
-    for entries in gens.per_cone:
-        kept = [(p, bm) for p, bm in entries if bm in present]
-        cone_data.append(([p for p, _ in kept], dict(kept)))
-    nvars = len(a)
-    total = (r_max + 1) * (s_max + 1)
-    failures = 0
-    first = reason = None
-    for r in range(r_max + 1):
-        for s in range(s_max + 1):
-            p = LatticePoint2(r, s)
-            elements, lookup = cone_data[locate(gens.fan, p)]
-            multiplicities = decompose_over(p, elements)
-            if multiplicities is None:
-                why = "no decomposition into available generators"
-            else:
-                product = unit_monomial(nvars)
-                for e, m in multiplicities.items():
-                    product = product * (lookup[e].coeff ** m)
-                if product == principal_intersection(a, b, r, s):
-                    continue
-                why = "generator product differs from the component generator"
-            failures += 1
-            if first is None:
-                first, reason = p, why
-    return VerificationReport(failures == 0, total, failures, first, reason)
+    chains = [[p for p, _ in entries] for entries in gens.per_cone]
+    coeffs = {
+        p: bm.coeff.exponents for entries in gens.per_cone for p, bm in entries if bm in present
+    }
+
+    def product(factors: list[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
+        out = (0,) * len(a)
+        for exponents, m in factors:
+            out = tuple(x + m * y for x, y in zip(out, exponents))
+        return out
+
+    def component(r: int, s: int) -> tuple[int, ...]:
+        return tuple(max(r * x, s * y) for x, y in zip(a, b))
+
+    reasons = (
+        "no decomposition into available generators",
+        "generator product differs from the component generator",
+    )
+    return _verify_grid(gens.fan, chains, coeffs, r_max, s_max, product, component, reasons)
 
 
 class AsymptoticLimits(NamedTuple):

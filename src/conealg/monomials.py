@@ -16,6 +16,7 @@ from .lattice import LatticePoint2
 
 DEFAULT_MAX_CANDIDATES = 10**6
 CAP_ENV_VAR = "CONEALG_MAX_CANDIDATES"
+GRADING_SYMBOLS = ("u", "v")  # printed after the coefficient, so no variable may use them
 
 
 class PowerCapError(RuntimeError):
@@ -25,8 +26,10 @@ class PowerCapError(RuntimeError):
 def _candidate_cap(override: Optional[int] = None) -> int:
     if override is not None:
         return override
-    env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_MAX_CANDIDATES
+    env = os.environ.get(CAP_ENV_VAR) or str(DEFAULT_MAX_CANDIDATES)
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def default_variables(n: int) -> tuple[str, ...]:
@@ -295,7 +298,7 @@ def format_bigraded(bm: BigradedMonomial, variables: Sequence[str]) -> str:
     parts = []
     if not bm.coeff.is_unit():
         parts.append(format_monomial(bm.coeff, variables))
-    for sym, e in (("u", bm.degree.r), ("v", bm.degree.s)):
+    for sym, e in zip(GRADING_SYMBOLS, (bm.degree.r, bm.degree.s)):
         if e == 1:
             parts.append(sym)
         elif e > 1:

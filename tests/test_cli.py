@@ -243,3 +243,26 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_grading_symbols_rejected_as_variables(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["generators", "--a", "1,2", "--b", "2,1", "--vars", "u,v"])
+    assert info.value.code == 2
+    assert "u and v name the grading" in capsys.readouterr().err
+    code, out, err = run(capsys, "generators", "--ideal-i", "u*v^2", "--ideal-j", "u^2*v")
+    assert code == 2 and out == "" and "u and v name the grading" in err
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SPEC_PAYLOAD, variables=["x", "v"])))
+    code, out, err = run(capsys, "fan-algebra", "--spec", str(path))
+    assert code == 2 and out == "" and "variables[1]" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "0", "1.5"])
+def test_bad_cap_env_value_is_an_input_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("CONEALG_MAX_CANDIDATES", value)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPEC_PAYLOAD))
+    code, out, err = run(capsys, "fan-algebra", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert f"CONEALG_MAX_CANDIDATES must be a positive integer, got {value!r}" in err

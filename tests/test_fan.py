@@ -158,3 +158,25 @@ def test_coverage_grid():
         for r in range(51):
             for s in range(51):
                 locate(fan, P(r, s))  # raises if uncovered
+
+
+def test_locate_bisection_matches_linear_scan():
+    rng = random.Random(41)
+    degenerate = 0
+    for n in [1, 2, 3, 5, 8, 13, 50, 120, 200]:
+        for _ in range(4):
+            # small entries give tied ratios, hence degenerate cones
+            a = [rng.randint(0, 4) for _ in range(n)]
+            b = [rng.randint(0, 4) for _ in range(n)]
+            a[0], b[-1] = a[0] or 1, b[-1] or 1
+            a2, b2, _ = fan_order(a, b)
+            fan = build_fan(a2, b2)
+            degenerate += sum(c.is_degenerate for c in fan.cones)
+            points = [P(0, 0)]
+            for c in fan.cones:  # shared rays and their multiples
+                points += [c.ray_low, c.ray_high.scaled(rng.randint(1, 5))]
+            points += [P(rng.randint(0, 99), rng.randint(0, 99)) for _ in range(40)]
+            for p in points:
+                first = next(i for i, c in enumerate(fan.cones) if cone_contains(c, p))
+                assert locate(fan, p) == first, (a2, b2, p)
+    assert degenerate > 0

@@ -214,3 +214,14 @@ def test_asymptotic_limit_matches_divisibility_oracle():
     for m in range(1, 61):
         v = largest_inner_power(a, b, m)
         assert abs(v / m - limits.l_I_of_J) <= max(a) / m
+
+
+def test_verify_generation_does_not_trust_the_hilbert_chain():
+    gs = intersection_generators((5, 2), (2, 3))
+    # without (1,3), cone 0's chain (0,1),(2,5) is no Hilbert basis: det 2
+    per_cone = (tuple(e for e in gs.per_cone[0] if e[0] != P(1, 3)),) + gs.per_cone[1:]
+    tampered = GeneratorSet(gs.generators, gs.fan, per_cone)
+    report = verify_generation((5, 2), (2, 3), tampered, 4, 4)
+    assert not report.passed
+    assert report.first_failure == P(0, 1)
+    assert report.reason == "no decomposition into available generators"

@@ -1,19 +1,22 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conealg import (
     Cone2,
     LatticePoint2,
+    build_fan,
     cone,
     cone_contains,
     decompose,
     decompose_over,
+    fan_order,
     hilbert_basis,
     primitive,
     slope_descending,
 )
+from conealg.lattice import unimodular_decomposition
 from oracles import all_decompositions, brute_irreducibles, frac_cone_contains
 
 P = LatticePoint2
@@ -217,3 +220,62 @@ def test_cone_closed_under_addition(m1, m2, k1, k2):
     q = c.ray_low.scaled(k1) + c.ray_high.scaled(k2)
     assert cone_contains(c, p) and cone_contains(c, q)
     assert cone_contains(c, p + q)
+
+
+def _enumeration_size(p, elements):
+    """Number of multiplicity vectors oracles.all_decompositions would scan."""
+    size = 1
+    for e in elements:
+        caps = [p.r // e.r if e.r else p.r + p.s, p.s // e.s if e.s else p.r + p.s]
+        size *= min(caps) + 1
+    return size
+
+
+exponents = st.lists(st.integers(0, 12), min_size=1, max_size=3)
+
+
+@given(exponents, exponents, st.integers(0, 10**6), st.integers(0, 3), st.integers(0, 3),
+       st.integers(0, 10**6))
+def test_unimodular_decomposition_against_search_and_oracle(a, b, cone_pick, l1, l2, e_pick):
+    # cones of a fan, so that the coefficient max(r*a_k, s*b_k) is linear on each
+    n = min(len(a), len(b))
+    a, b = tuple(a[:n]), tuple(b[:n])
+    assume(any(a) and any(b))
+    a2, b2, _ = fan_order(a, b)
+    fan = build_fan(a2, b2)
+    c = fan.cones[cone_pick % len(fan.cones)]
+    chain = slope_descending(hilbert_basis(c).elements)
+    p = c.ray_low.scaled(l1) + c.ray_high.scaled(l2) + chain[e_pick % len(chain)]
+    pairs = unimodular_decomposition(p, chain)
+    assert pairs is not None and len(pairs) <= 2
+    assert all(e in chain and m > 0 for e, m in pairs)
+    assert (sum(m * e.r for e, m in pairs), sum(m * e.s for e, m in pairs)) == (p.r, p.s)
+    if _enumeration_size(p, chain) <= 20_000:
+        assert dict(pairs) in all_decompositions(p, chain)
+
+    def coefficient_product(parts):
+        return tuple(
+            sum(m * max(e.r * x, e.s * y) for e, m in parts) for x, y in zip(a, b)
+        )
+
+    searched = decompose_over(p, chain)
+    assert coefficient_product(pairs) == coefficient_product(searched.items())
+    assert coefficient_product(pairs) == tuple(max(p.r * x, p.s * y) for x, y in zip(a, b))
+
+
+def test_unimodular_decomposition_examples():
+    chain = slope_descending(hilbert_basis(cone(P(0, 1), P(2, 5))).elements)
+    assert chain == [P(0, 1), P(1, 3), P(2, 5)]
+    assert unimodular_decomposition(P(0, 0), chain) == []
+    assert unimodular_decomposition(P(2, 6), chain) == [(P(1, 3), 2)]
+    assert unimodular_decomposition(P(3, 8), chain) == [(P(2, 5), 1), (P(1, 3), 1)]
+    assert unimodular_decomposition(P(0, 4), chain) == [(P(0, 1), 4)]
+    assert unimodular_decomposition(P(4, 10), [P(2, 5)]) == [(P(2, 5), 2)]
+
+
+def test_unimodular_decomposition_rejects_what_it_cannot_write():
+    chain = [P(0, 1), P(1, 3), P(2, 5)]
+    assert unimodular_decomposition(P(5, 1), chain) is None  # outside the cone
+    assert unimodular_decomposition(P(1, 4), [P(0, 1), P(2, 5)]) is None  # det 2 pair
+    assert unimodular_decomposition(P(1, 3), [P(2, 5)]) is None  # off the ray
+    assert unimodular_decomposition(P(1, 3), []) is None

@@ -203,3 +203,13 @@ def test_format_parse_round_trip(exponents):
 def test_default_variables():
     assert default_variables(2) == ("x", "y")
     assert default_variables(4) == ("x1", "x2", "x3", "x4")
+
+
+def test_env_cap_rejects_non_positive_or_non_integer(monkeypatch):
+    for value in ("abc", "-1", "0", "²"):
+        monkeypatch.setenv("CONEALG_MAX_CANDIDATES", value)
+        with pytest.raises(ValueError, match="CONEALG_MAX_CANDIDATES"):
+            ideal_power(maximal_ideal(2), 2)
+    monkeypatch.setenv("CONEALG_MAX_CANDIDATES", " 7 ")
+    with pytest.raises(PowerCapError, match="cap 7"):
+        ideal_power(maximal_ideal(2), 10)
