@@ -132,23 +132,6 @@ def generators_to_json(
     return _json_dumps(_generators_payload(variables, gens))
 
 
-def generators_from_json(
-    text: str,
-) -> tuple[tuple[str, ...], tuple[BigradedMonomial, ...]]:
-    data = json.loads(text)
-    variables = tuple(data["variables"])
-    index = {v: i for i, v in enumerate(variables)}
-    gens = []
-    for item in data["generators"]:
-        exponents = [0] * len(variables)
-        for name, e in item["coeff"].items():
-            exponents[index[name]] = e
-        gens.append(
-            BigradedMonomial(Monomial(tuple(exponents)), LatticePoint2(item["u"], item["v"]))
-        )
-    return variables, tuple(gens)
-
-
 def _m2check_script(
     variables: Sequence[str], a: Sequence[int], b: Sequence[int], lines: Sequence[str]
 ) -> str:

@@ -12,8 +12,8 @@ decision procedure used here.
 
 import json
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Optional, Sequence
+from functools import cache, partial, reduce
+from typing import Callable, Iterable, Optional, Sequence
 
 from .fans import Fan, build_fan, fan_order, locate
 from .generators import VerificationReport, _verify_grid
@@ -119,11 +119,14 @@ def check_fan_linear(
             )
 
     # Subadditive iff f equals the max of its pieces everywhere, iff every
-    # piece is dominated by the owning piece at both rays of every cone.
+    # piece is dominated by the owning piece at both rays of every cone.  A
+    # degenerate cone's piece is never used off its ray, where face agreement
+    # already pins it, so it takes no part.
+    used = [i for i, c in enumerate(fan.cones) if not c.is_degenerate]
     for j, c in enumerate(fan.cones):
         for ray in (c.ray_high, c.ray_low):
             owner = f.piece_value(j, ray)
-            for i in range(len(normalized)):
+            for i in used:
                 if f.piece_value(i, ray) > owner:
                     p, q, fp, fq, fpq = _subadditivity_witness(f)
                     raise FanLinearityError(
@@ -166,30 +169,45 @@ class FanAlgebraSpec:
         return self.functions[0].fan
 
 
+Power = Callable[[MonomialIdeal, int], MonomialIdeal]
+
+
+def _power_table(max_candidates: Optional[int]) -> Power:
+    """ideal_power remembered by (ideal, m), to be kept for one call only.
+    A call that raises stores nothing, so a later identical call raises the
+    same PowerCapError."""
+    return cache(partial(ideal_power, max_candidates=max_candidates))
+
+
 def _product_of_powers(
-    nvars: int, factors: Iterable[tuple[MonomialIdeal, int]], max_candidates: Optional[int]
+    nvars: int,
+    factors: Iterable[tuple[MonomialIdeal, int]],
+    power: Power,
+    max_candidates: Optional[int],
 ) -> MonomialIdeal:
-    """The product of ideal^m over the (ideal, m) factors; (1) if there are none."""
-    powers = [ideal_power(ideal, m, max_candidates) for ideal, m in factors]
+    """The product of power(ideal, m) over the (ideal, m) factors; (1) if
+    there are none."""
+    powers = [power(ideal, m) for ideal, m in factors]
     if not powers:
         return MonomialIdeal(nvars, [unit_monomial(nvars)])
     return reduce(lambda x, y: ideal_product(x, y, max_candidates), powers)
 
 
 def _component_on_cone(
-    spec: FanAlgebraSpec, i: int, p: LatticePoint2, max_candidates: Optional[int]
+    spec: FanAlgebraSpec, i: int, p: LatticePoint2, power: Power, max_candidates: Optional[int]
 ) -> MonomialIdeal:
     factors = [(ideal, f.piece_value(i, p)) for ideal, f in zip(spec.ideals, spec.functions)]
-    return _product_of_powers(len(spec.variables), factors, max_candidates)
+    return _product_of_powers(len(spec.variables), factors, power, max_candidates)
 
 
 def graded_component(
     spec: FanAlgebraSpec, r: int, s: int, max_candidates: Optional[int] = None
 ) -> MonomialIdeal:
     """The (r, s) component I_1^{f_1(r,s)} ... I_n^{f_n(r,s)} as a monomial
-    ideal; the oracle for fan-algebra verification."""
+    ideal, with every power computed afresh."""
     p = LatticePoint2(r, s)
-    return _component_on_cone(spec, locate(spec.fan, p), p, max_candidates)
+    power = partial(ideal_power, max_candidates=max_candidates)
+    return _component_on_cone(spec, locate(spec.fan, p), p, power, max_candidates)
 
 
 def fan_algebra_generators(
@@ -202,11 +220,12 @@ def fan_algebra_generators(
     descending exponent order of the coefficient; duplicates from shared rays
     keep their first occurrence.
     """
+    power = _power_table(max_candidates)
     out: list[BigradedMonomial] = []
     seen: set[BigradedMonomial] = set()
     for i, c in enumerate(spec.fan.cones):
         for p in slope_descending(hilbert_basis(c).elements):
-            component = _component_on_cone(spec, i, p, max_candidates)
+            component = _component_on_cone(spec, i, p, power, max_candidates)
             for mono in component.sorted_gens():
                 bm = BigradedMonomial(mono, p)
                 if bm not in seen:
@@ -259,7 +278,8 @@ def verify_fan_algebra(
     Hilbert basis elements of (r, s).
 
     The component at a Hilbert degree is rebuilt from the supplied generators,
-    so missing or tampered generators surface as reported failures.
+    so missing or tampered generators surface as reported failures.  Both
+    sides of the comparison share one table of ideal powers for this call.
     """
     by_degree: dict[LatticePoint2, set[Monomial]] = {}
     for g in gens:
@@ -271,11 +291,13 @@ def verify_fan_algebra(
         "no decomposition into available generator degrees",
         "generator component product differs from the graded component",
     )
+    power = _power_table(max_candidates)
     return _verify_grid(
         spec.fan, chains, ideals, r_max, s_max,
-        lambda factors: _product_of_powers(nvars, factors, max_candidates),
-        lambda r, s: graded_component(spec, r, s, max_candidates),
+        lambda factors: _product_of_powers(nvars, factors, power, max_candidates),
+        lambda i, p: _component_on_cone(spec, i, p, power, max_candidates),
         reasons,
+        max_candidates,
     )
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .fans import Fan, build_fan, fan_order, locate
 from .lattice import LatticePoint2, hilbert_basis, slope_descending, unimodular_decomposition
-from .monomials import BigradedMonomial, principal_intersection
+from .monomials import BigradedMonomial, PowerCapError, _candidate_cap, principal_intersection
 
 
 @dataclass(frozen=True)
@@ -110,33 +110,41 @@ def _verify_grid(
     r_max: int,
     s_max: int,
     product: Callable[[list], object],
-    component: Callable[[int, int], object],
+    component: Callable[[int, LatticePoint2], object],
     reasons: tuple[str, str],
+    max_candidates: Optional[int] = None,
 ) -> VerificationReport:
     """The grid loop of both verifiers.  Each (r, s) is written along the
     bracketing unimodular pair of ``chains[i]``, the slope-descending Hilbert
     chain of its cone i; if that fails or uses a degree not in ``available``,
     the cell fails with ``reasons[0]``.  Otherwise ``product`` of the
-    (available[degree], multiplicity) factors must equal ``component(r, s)``,
-    or the cell fails with ``reasons[1]``."""
+    (available[degree], multiplicity) factors must equal ``component(i, p)``
+    at the point p = (r, s), or the cell fails with ``reasons[1]``.
+
+    A grid of more cells than the candidate cap raises PowerCapError before
+    any cell is checked."""
     if r_max < 0 or s_max < 0:
         raise ValueError("grid bounds must be nonnegative")
+    total = (r_max + 1) * (s_max + 1)
+    cap = _candidate_cap(max_candidates)
+    if total > cap:
+        raise PowerCapError(f"grid too large: {total} cells exceed cap {cap}")
     failures = 0
     first = reason = None
     for r in range(r_max + 1):
         for s in range(s_max + 1):
             p = LatticePoint2(r, s)
-            pairs = unimodular_decomposition(p, chains[locate(fan, p)])
+            i = locate(fan, p)
+            pairs = unimodular_decomposition(p, chains[i])
             if pairs is None or any(e not in available for e, _ in pairs):
                 why = reasons[0]
-            elif product([(available[e], m) for e, m in pairs]) == component(r, s):
+            elif product([(available[e], m) for e, m in pairs]) == component(i, p):
                 continue
             else:
                 why = reasons[1]
             failures += 1
             if first is None:
                 first, reason = p, why
-    total = (r_max + 1) * (s_max + 1)
     return VerificationReport(failures == 0, total, failures, first, reason)
 
 
@@ -171,8 +179,8 @@ def verify_generation(
             out = tuple(x + m * y for x, y in zip(out, exponents))
         return out
 
-    def component(r: int, s: int) -> tuple[int, ...]:
-        return tuple(max(r * x, s * y) for x, y in zip(a, b))
+    def component(_: int, p: LatticePoint2) -> tuple[int, ...]:
+        return tuple(max(p.r * x, p.s * y) for x, y in zip(a, b))
 
     reasons = (
         "no decomposition into available generators",

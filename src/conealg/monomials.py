@@ -2,9 +2,13 @@
 
 Monomial ideals are stored by their unique minimal generating set, so set
 equality of generators is ideal equality.  Powers and products enumerate
-candidate generator products and prune by divisibility; the enumeration is
-capped (default 10^6 candidates, overridable with the CONEALG_MAX_CANDIDATES
-environment variable or per call).
+candidate generator products and prune by divisibility.  Pruning sorts the
+candidates by total degree and tests each one only against the generators of
+smaller degree kept so far, since a proper divisor has a strictly smaller
+degree; the candidates of an equigenerated product, such as a power of the
+maximal ideal, need no test at all.  The enumeration is capped (default 10^6
+candidates, overridable with the CONEALG_MAX_CANDIDATES environment variable
+or per call); the grid verifiers apply the same cap to their number of cells.
 """
 
 import os
@@ -90,9 +94,19 @@ def unit_monomial(nvars: int) -> Monomial:
 
 
 def _minimalize(gens: frozenset[Monomial]) -> frozenset[Monomial]:
-    return frozenset(
-        g for g in gens if not any(h != g and h.divides(g) for h in gens)
-    )
+    """The minimal elements under divisibility.  A proper divisor has a
+    strictly smaller total degree, so after sorting by degree each candidate
+    is tested only against the minimal generators of smaller degree kept so
+    far; distinct monomials of one degree never divide each other."""
+    kept: list[Monomial] = []
+    below: tuple[Monomial, ...] = ()  # the kept generators of smaller degree
+    degree = None
+    for g in sorted(gens, key=Monomial.total_degree):
+        if g.total_degree() != degree:
+            degree, below = g.total_degree(), tuple(kept)
+        if not any(h.divides(g) for h in below):
+            kept.append(g)
+    return frozenset(kept)
 
 
 class MonomialIdeal:

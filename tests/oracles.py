@@ -3,7 +3,7 @@
 These deliberately avoid the library's own algorithms: cone membership is
 solved with Fraction arithmetic (Cramer), irreducibles are found by scanning
 sums over the bounding box, decompositions by exhaustive multiplicity
-enumeration, and power containment by raw divisibility.
+enumeration, power containment and minimal generators by raw divisibility.
 """
 
 import itertools
@@ -90,3 +90,14 @@ def random_exponent_pair(rng, max_len=4, max_entry=6):
         b = tuple(rng.randint(0, max_entry) for _ in range(n))
         if any(a) and any(b):
             return a, b
+
+
+def brute_minimal_generators(gens) -> frozenset:
+    """The monomials of ``gens`` that no other one divides, by comparing
+    every pair of exponent vectors."""
+    gens = set(gens)
+    return frozenset(
+        g for g in gens
+        if not any(h != g and all(x <= y for x, y in zip(h.exponents, g.exponents))
+                   for h in gens)
+    )

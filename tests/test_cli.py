@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from conealg.cli import generators_from_json, generators_to_json, main
+from conealg import BigradedMonomial, LatticePoint2, Monomial
+from conealg.cli import generators_to_json, main
 
 GOLDEN_LINES = [
     "x^2*y^3*v",
@@ -14,6 +15,23 @@ GOLDEN_LINES = [
     "x^10*y^4*u^2*v",
     "x^5*y^2*u",
 ]
+
+
+def generators_from_json(text):
+    """Read back the generators JSON format (unvalidated: the test feeds it
+    only the CLI's own output)."""
+    data = json.loads(text)
+    variables = tuple(data["variables"])
+    index = {v: i for i, v in enumerate(variables)}
+    gens = []
+    for item in data["generators"]:
+        exponents = [0] * len(variables)
+        for name, e in item["coeff"].items():
+            exponents[index[name]] = e
+        gens.append(
+            BigradedMonomial(Monomial(tuple(exponents)), LatticePoint2(item["u"], item["v"]))
+        )
+    return variables, tuple(gens)
 
 
 def run(capsys, *argv):
@@ -224,6 +242,37 @@ def test_cap_exceeded_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "fan-algebra", "--spec", str(path))
     assert code == 3
     assert "power too large" in err
+
+
+def test_fan_algebra_degenerate_cone_verifies(tmp_path, capsys, deadline):
+    path = tmp_path / "spec.json"
+    payload = dict(SPEC_PAYLOAD, a=[1, 1], b=[1, 1], pieces=[[[0, 0], [1, -1], [0, 0]]])
+    path.write_text(json.dumps(payload))
+    with deadline(10):
+        code, out, err = run(capsys, "fan-algebra", "--spec", str(path), "--verify", "4x4")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "PASS 25/25 components"
+
+
+def test_verify_grid_over_default_cap_exits_3(capsys, deadline):
+    with deadline(5):
+        code, out, err = run(
+            capsys, "verify", "--a", "5,2", "--b", "2,3", "--rmax", "1000000000", "--smax", "1"
+        )
+    assert code == 3 and out == ""
+    assert err == "error: grid too large: 2000000002 cells exceed cap 1000000\n"
+
+
+def test_verify_grid_over_env_cap_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CONEALG_MAX_CANDIDATES", "10")
+    code, out, err = run(capsys, "verify", "--a", "5,2", "--b", "2,3", "--rmax", "4", "--smax", "4")
+    assert code == 3 and out == ""
+    assert err == "error: grid too large: 25 cells exceed cap 10\n"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SPEC_PAYLOAD, ideals=[["x*y"]])))
+    code, _, err = run(capsys, "fan-algebra", "--spec", str(path), "--verify", "4x4")
+    assert code == 3
+    assert err == "error: grid too large: 25 cells exceed cap 10\n"
 
 
 def test_verification_failure_exit_code(capsys, monkeypatch):

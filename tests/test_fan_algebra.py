@@ -10,6 +10,7 @@ from conealg import (
     LatticePoint2,
     Monomial,
     MonomialIdeal,
+    PowerCapError,
     SpecFormatError,
     build_fan,
     check_fan_linear,
@@ -104,6 +105,15 @@ def test_subadditivity_witness_never_contradicts_exact_decision():
         return alpha * point.r + beta * point.s
 
     assert raw(p) + raw(q) < raw(p + q)
+
+
+def test_degenerate_cone_piece_is_ignored_off_its_ray(deadline):
+    fan = build_fan((1, 1), (1, 1))
+    assert fan.cones[1].is_degenerate
+    # f = 0 everywhere; the degenerate cone's piece r - s is 0 on its ray
+    with deadline(5):
+        f = check_fan_linear(fan, ((0, 0), (1, -1), (0, 0)))
+    assert all(f(P(r, s)) == 0 for r in range(6) for s in range(6))
 
 
 def test_max_representation_on_grid():
@@ -210,6 +220,27 @@ def test_verify_fan_algebra_detects_tampering():
     report = verify_fan_algebra(spec, tampered, 6, 6)
     assert not report.passed
     assert report.first_failure == P(1, 1)
+
+
+def _first_component_cap_error(spec, r_max, s_max, cap):
+    for r in range(r_max + 1):
+        for s in range(s_max + 1):
+            try:
+                graded_component(spec, r, s, cap)
+            except PowerCapError as e:
+                return str(e)
+    return None
+
+
+@pytest.mark.parametrize("cap,r_max,s_max", [(20, 3, 3), (50, 2, 6), (100, 6, 6)])
+def test_verify_fan_algebra_cap_error_matches_graded_component(cap, r_max, s_max):
+    spec = principal_cap_algebra(3, M((1, 0, 0)))
+    gens = fan_algebra_generators(spec)
+    expected = _first_component_cap_error(spec, r_max, s_max, cap)
+    assert expected is not None
+    with pytest.raises(PowerCapError) as info:
+        verify_fan_algebra(spec, gens, r_max, s_max, cap)
+    assert str(info.value) == expected
 
 
 def test_principal_cap_maximal_power_examples():

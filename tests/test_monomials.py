@@ -19,6 +19,7 @@ from conealg import (
     principal_intersection,
     unit_monomial,
 )
+from oracles import brute_minimal_generators
 
 M = Monomial
 
@@ -147,6 +148,40 @@ def test_ideal_ops_commutative_associative():
         for result in (ideal_intersect(a, b), ideal_product(a, b)):
             for g in result.gens:
                 assert not any(h != g and h.divides(g) for h in result.gens)
+
+
+@st.composite
+def generator_lists(draw):
+    """Exponent vectors of mixed total degree over 1-4 variables, with some
+    repeated and sometimes the unit monomial."""
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=20))
+    if gens:
+        gens += draw(st.lists(st.sampled_from(gens), max_size=5))
+    if draw(st.booleans()):
+        gens.append((0,) * n)
+    return n, [M(g) for g in gens]
+
+
+@given(generator_lists())
+def test_minimal_generators_match_all_pairs_oracle(case):
+    n, gens = case
+    assert MonomialIdeal(n, gens).gens == brute_minimal_generators(gens)
+
+
+def test_ideal_power_matches_iterated_brute_products():
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        gens = [M(tuple(rng.randint(0, 3) for _ in range(n))) for _ in range(rng.randint(1, 4))]
+        base = brute_minimal_generators(gens)
+        expected = {unit_monomial(n)}
+        for m in range(5):
+            assert ideal_power(MonomialIdeal(n, gens), m).gens == expected
+            expected = brute_minimal_generators(
+                M(tuple(x + y for x, y in zip(g.exponents, h.exponents)))
+                for g in expected for h in base
+            )
 
 
 def test_arity_mismatch_is_an_error():
