@@ -7,7 +7,8 @@ each cone, agrees across shared rays, and is subadditive on all of N^2.  For
 functions linear on the cones of a complete fan (and zero at the origin),
 subadditivity is equivalent to the function being the pointwise max of its
 pieces, which reduces to finitely many ray comparisons; that is the exact
-decision procedure used here.
+decision procedure used here.  A failed comparison yields the subadditivity
+witness directly: a genuine violating pair, not necessarily the smallest.
 """
 
 import json
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .fans import Fan, build_fan, fan_order, locate
 from .generators import VerificationReport, _verify_grid
-from .lattice import LatticePoint2, hilbert_basis, slope_descending
+from .lattice import LatticePoint2, det, hilbert_basis, slope_descending
 from .monomials import (
     GRADING_SYMBOLS,
     BigradedMonomial,
@@ -36,8 +37,8 @@ class FanLinearityError(ValueError):
     """Rejection of a candidate piecewise function.
 
     ``condition`` is one of "nonnegativity", "face_agreement", or
-    "subadditivity"; ``witness`` is a concrete violating point (or pair of
-    points for subadditivity).
+    "subadditivity"; ``witness`` is a concrete violating point, or for
+    subadditivity a constructed violating pair (genuine, not always smallest).
     """
 
     def __init__(self, condition: str, witness, message: str):
@@ -61,20 +62,17 @@ class FanLinearFunction:
         return self.piece_value(locate(self.fan, p), p)
 
 
-def _subadditivity_witness(f: FanLinearFunction):
-    """Smallest lattice pair (p, q) with f(p) + f(q) < f(p + q), ordered by
-    total coordinate sum then lexicographically.  Exists whenever the exact
-    ray criterion fails."""
-    for total in range(2, 4097):
-        for left in range(1, total):
-            for pr in range(left + 1):
-                p = LatticePoint2(pr, left - pr)
-                for qr in range(total - left + 1):
-                    q = LatticePoint2(qr, total - left - qr)
-                    fp, fq, fpq = f(p), f(q), f(p + q)
-                    if fp + fq < fpq:
-                        return p, q, fp, fq, fpq
-    raise AssertionError("no subadditivity witness found")
+def _subadditivity_witness(f: FanLinearFunction, i: int, w: LatticePoint2):
+    """(p, q, f(p), f(q), f(p + q)) with f(p) + f(q) < f(p + q), from the
+    steepest ray w at which the piece g_i of a non-degenerate cone exceeds f.
+    Cone i lies below w: a steeper piece exceeds f at w only past a concave
+    kink above w, where the lower piece exceeds f at a steeper ray.  The least
+    multiple q of ray_low_i with w + q in cone i gives f(w) + f(q) <
+    g_i(w) + g_i(q) = f(w + q).  Genuine, though not always the smallest."""
+    c = f.fan.cones[i]
+    q = c.ray_low.scaled(-(det(w, c.ray_high) // det(c.ray_low, c.ray_high)))
+    p, q = sorted((w, q), key=lambda x: (x.r + x.s, x.r))
+    return p, q, f(p), f(q), f(p + q)
 
 
 def check_fan_linear(
@@ -121,14 +119,14 @@ def check_fan_linear(
     # Subadditive iff f equals the max of its pieces everywhere, iff every
     # piece is dominated by the owning piece at both rays of every cone.  A
     # degenerate cone's piece is never used off its ray, where face agreement
-    # already pins it, so it takes no part.
+    # already pins it, so it takes no part.  Rays are visited steepest first.
     used = [i for i, c in enumerate(fan.cones) if not c.is_degenerate]
     for j, c in enumerate(fan.cones):
         for ray in (c.ray_high, c.ray_low):
             owner = f.piece_value(j, ray)
             for i in used:
                 if f.piece_value(i, ray) > owner:
-                    p, q, fp, fq, fpq = _subadditivity_witness(f)
+                    p, q, fp, fq, fpq = _subadditivity_witness(f, i, ray)
                     raise FanLinearityError(
                         "subadditivity",
                         (p, q),

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: cone membership is
 solved with Fraction arithmetic (Cramer), irreducibles are found by scanning
 sums over the bounding box, decompositions by exhaustive multiplicity
-enumeration, power containment and minimal generators by raw divisibility.
+enumeration, power containment and minimal generators by raw divisibility,
+subadditivity witnesses by scanning all small pairs.
 """
 
 import itertools
@@ -25,6 +26,29 @@ def frac_cone_contains(c: Cone2, p: LatticePoint2) -> bool:
     l1 = Fraction(p.r * wh.s - p.s * wh.r, d)
     l2 = Fraction(wl.r * p.s - wl.s * p.r, d)
     return l1 >= 0 and l2 >= 0
+
+
+def frac_piece_value(cones, pieces, p: LatticePoint2) -> int:
+    """Value at p of the (alpha, beta) piece of the first cone that contains
+    p, with membership decided by frac_cone_contains."""
+    i = next(i for i, c in enumerate(cones) if frac_cone_contains(c, p))
+    alpha, beta = pieces[i]
+    return alpha * p.r + beta * p.s
+
+
+def brute_subadditivity_witness(f, max_total: int):
+    """First lattice pair (p, q) with f(p) + f(q) < f(p + q), scanning p + q
+    by coordinate total up to max_total, then p by its total and r; None if
+    there is none that small."""
+    for total in range(2, max_total + 1):
+        for left in range(1, total):
+            for pr in range(left + 1):
+                p = LatticePoint2(pr, left - pr)
+                for qr in range(total - left + 1):
+                    q = LatticePoint2(qr, total - left - qr)
+                    if f(p) + f(q) < f(p + q):
+                        return p, q
+    return None
 
 
 def brute_irreducibles(c: Cone2) -> set[LatticePoint2]:

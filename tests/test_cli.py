@@ -1,8 +1,11 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conealg import BigradedMonomial, LatticePoint2, Monomial
+from conealg import BigradedMonomial, LatticePoint2, Monomial, fan_order
 from conealg.cli import generators_to_json, main
 
 GOLDEN_LINES = [
@@ -254,6 +257,17 @@ def test_fan_algebra_degenerate_cone_verifies(tmp_path, capsys, deadline):
     assert out.splitlines()[-1] == "PASS 25/25 components"
 
 
+def test_fan_algebra_thin_cone_rejection_exits_2(tmp_path, capsys, deadline):
+    path = tmp_path / "spec.json"
+    payload = dict(SPEC_PAYLOAD, variables=["x"], a=[999, 998], b=[1000, 999],
+                   ideals=[["x"]], pieces=[[[0, 0], [999, -1000], [1, -1]]])
+    path.write_text(json.dumps(payload))
+    with deadline(2):
+        code, out, err = run(capsys, "fan-algebra", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: f(1,0)+f(1000,999) = 1+0 < f(1001,999) = 2\n"
+
+
 def test_verify_grid_over_default_cap_exits_3(capsys, deadline):
     with deadline(5):
         code, out, err = run(
@@ -315,3 +329,133 @@ def test_bad_cap_env_value_is_an_input_error(tmp_path, capsys, monkeypatch, valu
     code, out, err = run(capsys, "fan-algebra", "--spec", str(path))
     assert code == 2 and out == ""
     assert f"CONEALG_MAX_CANDIDATES must be a positive integer, got {value!r}" in err
+
+
+# --- contract fuzz: every argv ends in a documented exit code ---
+# Entries stay at most 12, so no --ray pair has a large determinant (the
+# parallelogram scan of hilbert-basis/generators is still linear in it).
+
+JUNK = st.sampled_from(["", "x", "1.5", "1,,2", "-1", "u,v", "x^2*y", "3x", "2x3x4"])
+ENTRIES = st.integers(0, 12)
+NAMES = st.lists(st.sampled_from(["x", "y", "z", "u", "v", "", "x1"]), min_size=1, max_size=4)
+FORMATS = st.sampled_from(["text", "json"] * 3 + ["svg", "m2check", "yaml"])
+
+
+def mostly(strategy, junk=JUNK):
+    """strategy's values as argv text, one time in four replaced by junk."""
+    return st.integers(0, 3).flatmap(lambda k: junk if k == 3 else strategy.map(str))
+
+
+MONOMIALS = mostly(
+    st.sampled_from(["x", "y", "x*y^2", "x^5*y^2", "z^3*x", "1", "x^0", "y^12"]),
+    junk=st.sampled_from(["x^-1", "2*x", "x+y", "u*v", ""]),
+)
+
+
+@st.composite
+def vector_pairs(draw):
+    """--a and --b of one length (sometimes not), values 0..12 (sometimes
+    junk), each sometimes left out."""
+    n = draw(st.integers(1, 4))
+    argv = []
+    for flag in ("--a", "--b"):
+        size = n + draw(st.sampled_from([0, 0, 0, 1]))
+        csv = st.lists(ENTRIES, min_size=size, max_size=size).map(
+            lambda xs: ",".join(map(str, xs)))
+        if draw(st.integers(0, 7)) < 7:
+            argv += [flag, draw(mostly(csv))]
+    return argv
+
+
+def options(required=None, **choices):
+    """The required --options and each other one present or not, with values
+    drawn from their strategies."""
+    return st.fixed_dictionaries(required or {}, optional=choices).map(
+        lambda chosen: [token for flag, value in chosen.items()
+                        for token in ("--" + flag.replace("_", "-"), value)])
+
+
+def joined(*parts):
+    return st.tuples(*parts).map(lambda lists: [token for part in lists for token in part])
+
+
+RAY = st.tuples(ENTRIES, ENTRIES).map(lambda p: f"{p[0]},{p[1]}")
+ARGV_TAILS = {
+    "generators": st.one_of(
+        joined(vector_pairs(), options(vars=NAMES.map(",".join), format=FORMATS)),
+        options(ideal_i=MONOMIALS, ideal_j=MONOMIALS, vars=NAMES.map(",".join),
+                format=FORMATS),
+    ),
+    "hilbert-basis": joined(
+        st.lists(mostly(RAY), min_size=1, max_size=3).map(
+            lambda rays: [token for ray in rays for token in ("--ray", ray)]),
+        options(format=FORMATS)),
+    "fan": joined(vector_pairs(), options(format=FORMATS)),
+    "verify": joined(vector_pairs(), options(
+        {"rmax": mostly(st.integers(-1, 12)), "smax": mostly(st.integers(-1, 12))},
+        format=FORMATS)),
+    "limits": joined(vector_pairs(), options(format=FORMATS)),
+    "fan-algebra": options(
+        verify=mostly(st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map(
+            lambda g: f"{g[0]}x{g[1]}")),
+        format=FORMATS),
+}
+
+
+@st.composite
+def spec_payloads(draw):
+    """Fan-algebra files: mostly fan ordered, sometimes with a repeated ray
+    (a degenerate cone); each function is max(r*a_j, s*b_j) (fan-linear),
+    min(r*a_j, s*b_j) (not subadditive) or random small pieces; one file in
+    four has a field of the wrong type, dropped, or an unknown one."""
+    n = draw(st.integers(1, 3))
+    a = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    b = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        a, b = a + a[-1:], b + b[-1:]
+    if draw(st.integers(0, 4)) < 4 and any(a) and any(b):
+        a, b, _ = fan_order(a, b)
+    ideals = draw(st.lists(st.lists(MONOMIALS, min_size=1, max_size=2), min_size=1, max_size=2))
+    pieces = []
+    for _ in ideals:
+        j = draw(st.integers(0, len(a) - 1))
+        kind = draw(st.sampled_from(["max", "min", "random"]))
+        if kind == "random":
+            pieces.append(draw(st.lists(st.lists(st.integers(-2, 3), min_size=2, max_size=2),
+                                        min_size=len(a) + 1, max_size=len(a) + 1)))
+        else:
+            pieces.append([[a[j], 0] if (kind == "max") == (j < i) else [0, b[j]]
+                           for i in range(len(a) + 1)])
+    payload = {
+        "variables": ["x", "y", "z"] if draw(st.integers(0, 3)) < 3 else draw(NAMES),
+        "a": list(a), "b": list(b), "ideals": ideals, "pieces": pieces,
+    }
+    if draw(st.integers(0, 3)) == 3:
+        field = draw(st.sampled_from([*payload, "format_version", "extra"]))
+        if draw(st.booleans()):
+            payload.pop(field, None)
+        else:
+            payload[field] = draw(
+                st.sampled_from([[], [[]], {}, "x", 1.5, True, None, [1.5], ["x"], 2]))
+    return payload
+
+
+def contract_exit(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as e:  # argparse usage errors
+            assert e.code == 2
+            return 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(ARGV_TAILS)).flatmap(
+    lambda command: ARGV_TAILS[command].map(lambda tail: [command, *tail])),
+    spec_payloads())
+def test_cli_contract_fuzz(tmp_path_factory, argv, payload):
+    if argv[0] == "fan-algebra":
+        path = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
+        path.write_text(json.dumps(payload))
+        argv = [*argv, "--spec", str(path)]
+    assert contract_exit(argv) in (0, 2, 3, 4)

@@ -1,7 +1,10 @@
+import functools
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conealg import (
     BigradedMonomial,
@@ -15,6 +18,7 @@ from conealg import (
     build_fan,
     check_fan_linear,
     fan_algebra_generators,
+    fan_order,
     graded_component,
     hilbert_basis,
     ideal_intersect,
@@ -28,7 +32,11 @@ from conealg import (
     principal_cap_maximal_power,
     verify_fan_algebra,
 )
-from oracles import random_exponent_pair
+from oracles import (
+    brute_subadditivity_witness,
+    frac_piece_value,
+    random_exponent_pair,
+)
 
 P = LatticePoint2
 M = Monomial
@@ -105,6 +113,81 @@ def test_subadditivity_witness_never_contradicts_exact_decision():
         return alpha * point.r + beta * point.s
 
     assert raw(p) + raw(q) < raw(p + q)
+
+    # max(tops) + min(bottoms) of nonnegative forms, linear on every cone of a
+    # fan through all their crossing rays: every rejection's witness holds
+    # for the pieces read through Fraction cone membership, and no acceptance
+    # has a witness of coordinate total up to 12
+    @settings(max_examples=300, deadline=None)
+    @given(max_plus_min_functions())
+    # w + q reaches the violating cone only at q = 5*(1,0)
+    @example(max_plus_min([(0, 4), (1, 0)], [(0, 5), (1, 0)], [(1, 1), (1, 1)]))
+    def family(candidate):
+        fan, pieces = candidate
+
+        @functools.cache
+        def value(p):
+            return frac_piece_value(fan.cones, pieces, p)
+
+        try:
+            check_fan_linear(fan, pieces)
+        except FanLinearityError as e:
+            assert e.condition == "subadditivity"
+            p, q = e.witness
+            assert value(p) + value(q) < value(p + q)
+            assert str(e) == f"f{p}+f{q} = {value(p)}+{value(q)} < f{p + q} = {value(p + q)}"
+        else:
+            assert brute_subadditivity_witness(value, 12) is None
+
+    family()
+
+
+def max_plus_min(tops, bottoms, extra_rays):
+    """(fan, pieces) of f = max(tops) + min(bottoms) over nonnegative linear
+    forms (alpha, beta), on a fan whose rays (r, s) are every crossing ray of
+    two forms plus the extra rays."""
+    rays = [
+        (abs(b1 - b2), abs(a1 - a2))
+        for (a1, b1), (a2, b2) in itertools.combinations(tops + bottoms, 2)
+        if (a1 - a2) * (b1 - b2) < 0
+    ] + extra_rays
+    a, b, _ = fan_order([s for _, s in rays], [r for r, _ in rays])
+    fan = build_fan(a, b)
+
+    def at(form, p):
+        return form[0] * p.r + form[1] * p.s
+
+    pieces = []
+    for c in fan.cones:
+        inside = c.ray_low + c.ray_high  # interior unless the cone is degenerate
+        top = max(tops, key=lambda form: at(form, inside))
+        bottom = min(bottoms, key=lambda form: at(form, inside), default=(0, 0))
+        pieces.append((top[0] + bottom[0], top[1] + bottom[1]))
+    return fan, pieces
+
+
+FORMS = st.tuples(st.integers(0, 7), st.integers(0, 7))
+
+
+@st.composite
+def max_plus_min_functions(draw):
+    """max_plus_min over random forms, with some random extra rays and one
+    ray given twice (a degenerate cone)."""
+    tops = draw(st.lists(FORMS, min_size=1, max_size=3))
+    bottoms = draw(st.lists(FORMS, max_size=3))
+    extra = draw(st.lists(FORMS.filter(any), max_size=3))
+    extra += [draw(st.tuples(st.integers(1, 7), st.integers(1, 7)))] * 2
+    return max_plus_min(tops, bottoms, extra)
+
+
+def test_thin_cone_rejection_witness_is_built_not_searched(deadline):
+    # the kink sits in a det-1 cone between rays (1000,999) and (999,998);
+    # no violating pair has a small coordinate total
+    fan = build_fan((999, 998), (1000, 999))
+    with deadline(2), pytest.raises(FanLinearityError) as info:
+        check_fan_linear(fan, [(0, 0), (999, -1000), (1, -1)])
+    assert info.value.condition == "subadditivity"
+    assert info.value.witness == (P(1, 0), P(1000, 999))
 
 
 def test_degenerate_cone_piece_is_ignored_off_its_ray(deadline):
