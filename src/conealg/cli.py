@@ -33,11 +33,11 @@ from .generators import (
 )
 from .lattice import LatticePoint2, cone, hilbert_basis, slope_descending
 from .monomials import (
-    GRADING_SYMBOLS,
     BigradedMonomial,
     Monomial,
     MonomialParseError,
     PowerCapError,
+    check_variable_names,
     default_variables,
     format_bigraded,
     format_monomial,
@@ -72,10 +72,10 @@ def _csv_point(text: str) -> LatticePoint2:
 
 def _csv_names(text: str) -> tuple[str, ...]:
     names = tuple(part.strip() for part in text.split(","))
-    if not all(names):
-        raise argparse.ArgumentTypeError("variable names must be nonempty")
-    if set(names) & set(GRADING_SYMBOLS):
-        raise argparse.ArgumentTypeError("u and v name the grading and cannot be variables")
+    try:
+        check_variable_names(names)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
     return names
 
 
@@ -96,10 +96,9 @@ def _infer_variables(*texts: str) -> tuple[str, ...]:
     seen: list[str] = []
     for text in texts:
         for match in _IDENT.finditer(text):
-            if match.group(0) in GRADING_SYMBOLS:
-                raise ValueError("u and v name the grading and cannot be variables")
             if match.group(0) not in seen:
                 seen.append(match.group(0))
+    check_variable_names(seen)
     return tuple(seen)
 
 

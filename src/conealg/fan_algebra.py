@@ -20,10 +20,11 @@ from .fans import Fan, build_fan, fan_order, locate
 from .generators import VerificationReport, _verify_grid
 from .lattice import LatticePoint2, det, hilbert_basis, slope_descending
 from .monomials import (
-    GRADING_SYMBOLS,
     BigradedMonomial,
     Monomial,
     MonomialIdeal,
+    _candidate_cap,
+    check_variable_names,
     default_variables,
     ideal_power,
     ideal_product,
@@ -218,6 +219,7 @@ def fan_algebra_generators(
     descending exponent order of the coefficient; duplicates from shared rays
     keep their first occurrence.
     """
+    max_candidates = _candidate_cap(max_candidates)
     power = _power_table(max_candidates)
     out: list[BigradedMonomial] = []
     seen: set[BigradedMonomial] = set()
@@ -279,6 +281,7 @@ def verify_fan_algebra(
     so missing or tampered generators surface as reported failures.  Both
     sides of the comparison share one table of ideal powers for this call.
     """
+    max_candidates = _candidate_cap(max_candidates)
     by_degree: dict[LatticePoint2, set[Monomial]] = {}
     for g in gens:
         by_degree.setdefault(g.degree, set()).add(g.coeff)
@@ -390,20 +393,13 @@ def load_fan_algebra_spec(text: str) -> FanAlgebraSpec:
     if version != 1:
         raise SpecFormatError(f"format_version: unsupported version {version!r}")
 
-    raw_vars = _expect_list("variables", data["variables"])
-    if not raw_vars:
+    variables = _expect_list("variables", data["variables"])
+    if not variables:
         raise SpecFormatError("variables: must be nonempty")
-    variables = []
-    for i, name in enumerate(raw_vars):
-        if not isinstance(name, str) or not name or not name.isidentifier():
-            raise SpecFormatError(f"variables[{i}]: expected an identifier, got {name!r}")
-        if name in variables:
-            raise SpecFormatError(f"variables[{i}]: duplicate name {name!r}")
-        if name in GRADING_SYMBOLS:
-            raise SpecFormatError(
-                f"variables[{i}]: {name!r} names the grading and cannot be a variable"
-            )
-        variables.append(name)
+    try:
+        check_variable_names(variables)
+    except ValueError as e:
+        raise SpecFormatError(str(e)) from e
 
     exponents = {}
     for field in ("a", "b"):

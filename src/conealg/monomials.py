@@ -1,19 +1,26 @@
 """Exact monomials and monomial ideals over a fixed variable list.
 
 Monomial ideals are stored by their unique minimal generating set, so set
-equality of generators is ideal equality.  Powers and products enumerate
-candidate generator products and prune by divisibility.  Pruning sorts the
-candidates by total degree and tests each one only against the generators of
-smaller degree kept so far, since a proper divisor has a strictly smaller
-degree; the candidates of an equigenerated product, such as a power of the
-maximal ideal, need no test at all.  The enumeration is capped (default 10^6
-candidates, overridable with the CONEALG_MAX_CANDIDATES environment variable
-or per call); the grid verifiers apply the same cap to their number of cells.
+equality of generators is ideal equality.  The public constructors check
+their input.  Products and powers of ideals, whose factors were checked
+already, work on plain exponent tuples: they collect the sums of generator
+exponents in one set, keep the minimal ones and wrap only those.  Pruning
+sorts the candidates by total degree and tests each one only against the
+tuples of smaller degree kept so far, since a proper divisor has a strictly
+smaller degree; the candidates of an equigenerated product, such as a power
+of the maximal ideal, need no test at all.  When one factor has a single
+generator the product is a translate of the other factor's minimal set and
+needs no pruning.  The enumeration is capped (default 10^6 candidates,
+overridable with the CONEALG_MAX_CANDIDATES environment variable or per call;
+the fan-algebra generator and verifier functions read the cap once per call
+and pass it down); the grid verifiers apply the same cap to their number of
+cells.
 """
 
 import os
 import re
 from dataclasses import dataclass
+from operator import add, le
 from typing import Iterable, Optional, Sequence
 
 from .lattice import LatticePoint2
@@ -21,6 +28,7 @@ from .lattice import LatticePoint2
 DEFAULT_MAX_CANDIDATES = 10**6
 CAP_ENV_VAR = "CONEALG_MAX_CANDIDATES"
 GRADING_SYMBOLS = ("u", "v")  # printed after the coefficient, so no variable may use them
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class PowerCapError(RuntimeError):
@@ -34,6 +42,22 @@ def _candidate_cap(override: Optional[int] = None) -> int:
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {env!r}")
     return int(env)
+
+
+def check_variable_names(names: Sequence[str]) -> None:
+    """Raise ValueError, naming the position of the first bad name, unless
+    every name is an identifier that monomial text can spell, the names are
+    distinct, and none is u or v."""
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or not _IDENT.fullmatch(name):
+            problem = f"expected an identifier, got {name!r}"
+        elif name in names[:i]:
+            problem = f"duplicate name {name!r}"
+        elif name in GRADING_SYMBOLS:
+            problem = "u and v name the grading and cannot be variables"
+        else:
+            continue
+        raise ValueError(f"variables[{i}]: {problem}")
 
 
 def default_variables(n: int) -> tuple[str, ...]:
@@ -93,20 +117,45 @@ def unit_monomial(nvars: int) -> Monomial:
     return Monomial((0,) * nvars)
 
 
-def _minimalize(gens: frozenset[Monomial]) -> frozenset[Monomial]:
-    """The minimal elements under divisibility.  A proper divisor has a
-    strictly smaller total degree, so after sorting by degree each candidate
-    is tested only against the minimal generators of smaller degree kept so
-    far; distinct monomials of one degree never divide each other."""
-    kept: list[Monomial] = []
-    below: tuple[Monomial, ...] = ()  # the kept generators of smaller degree
+def _monomial(exponents: tuple[int, ...]) -> Monomial:
+    """A Monomial without the checks of its constructor, for exponent tuples
+    computed from monomials that were already validated."""
+    m = object.__new__(Monomial)
+    object.__setattr__(m, "exponents", exponents)
+    return m
+
+
+def _minimalize(exponents: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The minimal elements under divisibility of distinct exponent tuples.
+    A proper divisor has a strictly smaller total degree, so after sorting by
+    degree each tuple is tested only against the minimal tuples of smaller
+    degree kept so far; distinct tuples of one degree never divide each
+    other."""
+    kept: list[tuple[int, ...]] = []
+    below: tuple[tuple[int, ...], ...] = ()  # the kept tuples of smaller degree
     degree = None
-    for g in sorted(gens, key=Monomial.total_degree):
-        if g.total_degree() != degree:
-            degree, below = g.total_degree(), tuple(kept)
-        if not any(h.divides(g) for h in below):
-            kept.append(g)
-    return frozenset(kept)
+    for e in sorted(exponents, key=sum):
+        d = sum(e)
+        if d != degree:
+            degree, below = d, tuple(kept)
+        if not below or not any(all(map(le, h, e)) for h in below):
+            kept.append(e)
+    return kept
+
+
+def _product_exponents(
+    xs: Sequence[tuple[int, ...]], ys: Sequence[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The minimal exponent tuples of the product of two ideals given by
+    their minimal exponent tuples over the same variables.  When one factor
+    has a single generator the product is a translate of the other's minimal
+    set, which is minimal already."""
+    if len(ys) == 1:
+        xs, ys = ys, xs
+    if len(xs) == 1:
+        (t,) = xs
+        return [tuple(map(add, t, h)) for h in ys]
+    return _minimalize({tuple(map(add, g, h)) for g in xs for h in ys})
 
 
 class MonomialIdeal:
@@ -126,8 +175,18 @@ class MonomialIdeal:
         for g in gens:
             if g.nvars != nvars:
                 raise ValueError(f"generator {g} has {g.nvars} variables, expected {nvars}")
+        minimal = _minimalize({g.exponents for g in gens})
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "gens", _minimalize(gens))
+        object.__setattr__(self, "gens", frozenset(map(_monomial, minimal)))
+
+    @classmethod
+    def _from_minimal(cls, nvars: int, exponents: Iterable[tuple[int, ...]]) -> "MonomialIdeal":
+        """The ideal of these minimal exponent tuples over nvars variables,
+        taken as they are: only for tuples computed from validated ideals."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "nvars", nvars)
+        object.__setattr__(ideal, "gens", frozenset(map(_monomial, exponents)))
+        return ideal
 
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
@@ -192,7 +251,9 @@ def ideal_product(
         raise PowerCapError(
             f"power too large: {len(a.gens) * len(b.gens)} candidate products exceed cap {cap}"
         )
-    return MonomialIdeal(a.nvars, (g * h for g in a.gens for h in b.gens))
+    return MonomialIdeal._from_minimal(
+        a.nvars, _product_exponents([g.exponents for g in a.gens], [h.exponents for h in b.gens])
+    )
 
 
 def ideal_power(
@@ -202,14 +263,15 @@ def ideal_power(
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"power must be a nonnegative integer, got {m!r}")
     cap = _candidate_cap(max_candidates)
-    result = MonomialIdeal(a.nvars, [unit_monomial(a.nvars)])
+    base = [g.exponents for g in a.gens]
+    result = [(0,) * a.nvars]
     spent = 0
     for _ in range(m):
-        spent += len(result.gens) * len(a.gens)
+        spent += len(result) * len(base)
         if spent > cap:
             raise PowerCapError(f"power too large: {spent} candidate products exceed cap {cap}")
-        result = MonomialIdeal(a.nvars, (g * h for g in result.gens for h in a.gens))
-    return result
+        result = _product_exponents(result, base)
+    return MonomialIdeal._from_minimal(a.nvars, result)
 
 
 def principal_intersection(
@@ -244,7 +306,6 @@ class MonomialParseError(ValueError):
         self.column = column
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _NUMBER = re.compile(r"[0-9]+")
 
 

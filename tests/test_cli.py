@@ -1,6 +1,9 @@
+import importlib
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +50,17 @@ def test_generators_golden_text(capsys):
     code, out, err = run(
         capsys, "generators", "--ideal-i", "x^5*y^2", "--ideal-j", "x^2*y^3"
     )
+    assert code == 0 and err == ""
+    assert out.splitlines() == GOLDEN_LINES
+
+
+def test_console_script_entry_point(capsys):
+    # the function that pyproject.toml's conealg console script runs
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, function = re.search(r'^conealg = "([\w.]+):(\w+)"$', text, re.M).groups()
+    entry = getattr(importlib.import_module(module), function)
+    code = entry(["generators", "--a", "5,2", "--b", "2,3"])
+    out, err = capsys.readouterr()
     assert code == 0 and err == ""
     assert out.splitlines() == GOLDEN_LINES
 
@@ -319,6 +333,30 @@ def test_grading_symbols_rejected_as_variables(tmp_path, capsys):
     path.write_text(json.dumps(dict(SPEC_PAYLOAD, variables=["x", "v"])))
     code, out, err = run(capsys, "fan-algebra", "--spec", str(path))
     assert code == 2 and out == "" and "variables[1]" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--ideal-i", "x^5", "--ideal-j", "x^2", "--vars", "x,x"],
+         "variables[1]: duplicate name 'x'"),
+        (["--a", "1,2", "--b", "2,3", "--vars", "x*y,z"],
+         "variables[0]: expected an identifier, got 'x*y'"),
+        (["--a", "1,2", "--b", "2,3", "--vars", "1,2"],
+         "variables[0]: expected an identifier, got '1'"),
+        (["--a", "1,2", "--b", "2,3", "--vars", "x*y,z", "--format", "m2check"],
+         "variables[0]: expected an identifier, got 'x*y'"),
+        (["--a", "1,2", "--b", "2,3", "--vars", "x,2", "--format", "m2check"],
+         "variables[1]: expected an identifier, got '2'"),
+    ],
+    ids=["duplicate", "product", "digits", "m2check-product", "m2check-digit"],
+)
+def test_bad_variable_names_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(["generators", *argv])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert f"argument --vars: {message}\n" in captured.err
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "0", "1.5"])

@@ -395,6 +395,7 @@ def test_spec_roundtrip_from_json():
         (lambda d: d.update(ideals=[["x+y"]]), "ideals[0][0]"),
         (lambda d: d.update(ideals=[[]]), "at least one generator"),
         (lambda d: d.update(variables=["x", "x"]), "variables[1]"),
+        (lambda d: d.update(variables=["x", "\u00e9"]), "variables[1]: expected an identifier"),
         (lambda d: d.update(pieces=[[[1, 2], [2]]]), "pieces[0][1]"),
     ],
 )

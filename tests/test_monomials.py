@@ -151,10 +151,11 @@ def test_ideal_ops_commutative_associative():
 
 
 @st.composite
-def generator_lists(draw):
-    """Exponent vectors of mixed total degree over 1-4 variables, with some
-    repeated and sometimes the unit monomial."""
-    n = draw(st.integers(1, 4))
+def generator_lists(draw, n=None):
+    """Exponent vectors of mixed total degree over 1-4 variables (or n), with
+    some repeated and sometimes the unit monomial."""
+    if n is None:
+        n = draw(st.integers(1, 4))
     gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=20))
     if gens:
         gens += draw(st.lists(st.sampled_from(gens), max_size=5))
@@ -167,6 +168,59 @@ def generator_lists(draw):
 def test_minimal_generators_match_all_pairs_oracle(case):
     n, gens = case
     assert MonomialIdeal(n, gens).gens == brute_minimal_generators(gens)
+
+
+@st.composite
+def product_factors(draw):
+    """Two generator lists over one variable count, each drawn by
+    generator_lists or as a single generator, the unit ideal or the zero ideal."""
+    n, first = draw(generator_lists())
+    factors = []
+    for kind in draw(st.lists(st.sampled_from(["lists", "single", "unit", "zero"]),
+                              min_size=2, max_size=2)):
+        if kind == "lists":
+            factors.append(draw(generator_lists(n))[1])
+        elif kind == "single":
+            factors.append([M(draw(st.tuples(*[st.integers(0, 4)] * n)))])
+        else:
+            factors.append([unit_monomial(n)] if kind == "unit" else [])
+    return n, factors
+
+
+@given(product_factors())
+def test_ideal_product_matches_all_pairs_oracle(case):
+    n, (xs, ys) = case
+    product = ideal_product(MonomialIdeal(n, xs), MonomialIdeal(n, ys))
+    sums = [M(tuple(x + y for x, y in zip(g.exponents, h.exponents))) for g in xs for h in ys]
+    assert product.gens == brute_minimal_generators(sums)
+    public = MonomialIdeal(n, sums)
+    assert product == public and hash(product) == hash(public)
+    assert product.nvars == n and product.sorted_gens() == public.sorted_gens()
+
+
+def test_cap_messages_count_candidates_of_minimal_factors():
+    m3 = maximal_ideal(3)
+    mixed = ideal((3, 0), (1, 1), (0, 4))  # its k-th power has 2k + 1 generators
+    cases = [
+        (lambda: ideal_product(ideal_power(m3, 3), ideal_power(m3, 2), 59), 60, 59),
+        (lambda: ideal_power(m3, 5, max_candidates=50), 60, 50),
+        (lambda: ideal_power(mixed, 6, max_candidates=40), 48, 40),
+        (lambda: ideal_power(ideal((2, 3)), 40, max_candidates=39), 40, 39),
+    ]
+    for call, spent, cap in cases:
+        with pytest.raises(PowerCapError) as info:
+            call()
+        assert str(info.value) == f"power too large: {spent} candidate products exceed cap {cap}"
+
+
+def test_public_constructors_keep_their_checks():
+    for bad in ((1, -1), (True, 0), (1.0, 0)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            M(bad)
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            MonomialIdeal(2, [bad])
+    with pytest.raises(ValueError, match="expected 2"):
+        MonomialIdeal(2, [M((1, 0, 0))])
 
 
 def test_ideal_power_matches_iterated_brute_products():
