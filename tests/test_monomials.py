@@ -174,7 +174,7 @@ def test_minimal_generators_match_all_pairs_oracle(case):
 def product_factors(draw):
     """Two generator lists over one variable count, each drawn by
     generator_lists or as a single generator, the unit ideal or the zero ideal."""
-    n, first = draw(generator_lists())
+    n = draw(st.integers(1, 4))
     factors = []
     for kind in draw(st.lists(st.sampled_from(["lists", "single", "unit", "zero"]),
                               min_size=2, max_size=2)):
