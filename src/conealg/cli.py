@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 input/parse error, 3 enumeration cap exceeded,
 
 import argparse
 import json
-import re
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,12 +31,13 @@ from .generators import (
     intersection_generators,
     verify_generation,
 )
-from .lattice import LatticePoint2, cone, hilbert_basis, slope_descending
+from .lattice import LatticePoint2, cone, hilbert_basis
 from .monomials import (
     BigradedMonomial,
     Monomial,
     MonomialParseError,
     PowerCapError,
+    _IDENT,
     check_variable_names,
     default_variables,
     format_bigraded,
@@ -49,8 +50,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_VERIFY = 4
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -212,7 +211,7 @@ def _cmd_hilbert_basis(args) -> int:
     if len(args.ray) != 2:
         raise ValueError("exactly two --ray options are required")
     c = cone(args.ray[0], args.ray[1])
-    elements = slope_descending(hilbert_basis(c).elements)
+    elements = hilbert_basis(c).elements
     if args.format == "json":
         payload = {
             "format_version": 1,
@@ -315,6 +314,7 @@ def _cmd_fan_algebra(args) -> int:
     return EXIT_OK
 
 
+@cache  # one tree per process: parse_args never changes it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conealg",

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .fans import Fan, build_fan, fan_order, locate
 from .generators import VerificationReport, _verify_grid
-from .lattice import LatticePoint2, det, hilbert_basis, slope_descending
+from .lattice import LatticePoint2, det, hilbert_basis
 from .monomials import (
     BigradedMonomial,
     Monomial,
@@ -149,8 +149,7 @@ class FanAlgebraSpec:
     def __post_init__(self):
         if len(self.ideals) != len(self.functions) or not self.ideals:
             raise ValueError("need equally many ideals and functions, at least one each")
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("variable names must be distinct")
+        check_variable_names(self.variables)
         for ideal in self.ideals:
             if ideal.nvars != len(self.variables):
                 raise ValueError(
@@ -224,7 +223,7 @@ def fan_algebra_generators(
     out: list[BigradedMonomial] = []
     seen: set[BigradedMonomial] = set()
     for i, c in enumerate(spec.fan.cones):
-        for p in slope_descending(hilbert_basis(c).elements):
+        for p in hilbert_basis(c).elements:
             component = _component_on_cone(spec, i, p, power, max_candidates)
             for mono in component.sorted_gens():
                 bm = BigradedMonomial(mono, p)
@@ -287,7 +286,7 @@ def verify_fan_algebra(
         by_degree.setdefault(g.degree, set()).add(g.coeff)
     nvars = len(spec.variables)
     ideals = {d: MonomialIdeal(nvars, coeffs) for d, coeffs in by_degree.items()}
-    chains = [slope_descending(hilbert_basis(c).elements) for c in spec.fan.cones]
+    chains = [hilbert_basis(c).elements for c in spec.fan.cones]
     reasons = (
         "no decomposition into available generator degrees",
         "generator component product differs from the graded component",

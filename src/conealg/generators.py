@@ -4,10 +4,9 @@ ideals.
 For I = (x^a) and J = (x^b) the algebra sum of I^r cap J^s u^r v^s is
 generated by one bigraded monomial per Hilbert basis element of each cone of
 the fan of (a, b): the coefficient at degree (r, s) is the componentwise
-max(r*a_k, s*b_k) monomial.  This module computes that set, its log-vector
-semigroup presentation, asymptotic containment limits, and runs the
-bounded-grid verifier that reconstructs every graded component from the
-generators.
+max(r*a_k, s*b_k) monomial.  This module computes that set and the
+asymptotic containment limits, and runs the bounded-grid verifier that
+reconstructs every graded component from the generators.
 """
 
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .fans import Fan, build_fan, fan_order, locate
-from .lattice import LatticePoint2, hilbert_basis, slope_descending, unimodular_decomposition
+from .lattice import LatticePoint2, hilbert_basis, unimodular_decomposition
 from .monomials import BigradedMonomial, PowerCapError, _candidate_cap, principal_intersection
 
 
@@ -48,7 +47,7 @@ def intersection_generators(a: Sequence[int], b: Sequence[int]) -> GeneratorSet:
     per_cone = []
     for c in fan.cones:
         entries = []
-        for p in slope_descending(hilbert_basis(c).elements):
+        for p in hilbert_basis(c).elements:
             bm = BigradedMonomial(principal_intersection(a, b, p.r, p.s), p)
             entries.append((p, bm))
             if p not in seen:
@@ -56,30 +55,6 @@ def intersection_generators(a: Sequence[int], b: Sequence[int]) -> GeneratorSet:
                 ordered.append(bm)
         per_cone.append(tuple(entries))
     return GeneratorSet(tuple(ordered), fan, tuple(per_cone))
-
-
-@dataclass(frozen=True)
-class SemigroupPresentation:
-    """Integer vectors in N^(n+2) generating the log-semigroup of the algebra:
-    one vector per generator (its exponent vector extended by its (u, v)-degree)
-    plus the n variable unit vectors padded with degree (0, 0)."""
-
-    nvars: int
-    vectors: tuple[tuple[int, ...], ...]
-
-
-def semigroup_generators(a: Sequence[int], b: Sequence[int]) -> SemigroupPresentation:
-    """Log map applied to the intersection generators, extended by the
-    variable unit vectors."""
-    a = tuple(a)
-    gs = intersection_generators(a, b)
-    vectors = [g.coeff.exponents + (g.degree.r, g.degree.s) for g in gs.generators]
-    n = len(a)
-    for k in range(n):
-        e = [0] * (n + 2)
-        e[k] = 1
-        vectors.append(tuple(e))
-    return SemigroupPresentation(n, tuple(vectors))
 
 
 @dataclass(frozen=True)

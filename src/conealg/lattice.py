@@ -1,7 +1,8 @@
 """Exact 2D lattice geometry in the first quadrant.
 
 Primitive vectors, pointed rational cones given by two rays, exact membership
-tests, Hilbert bases, and decomposition of lattice points into basis elements.
+tests, Hilbert bases as slope-ordered chains, and decomposition of lattice
+points into basis elements.
 All arithmetic uses Python integers (arbitrary precision, so there is no
 silent wraparound); every value is immutable and every operation is a pure
 function, safe for concurrent use.
@@ -119,9 +120,11 @@ def slope_descending(points: Iterable[LatticePoint2]) -> list[LatticePoint2]:
 
 @dataclass(frozen=True)
 class HilbertBasis2:
-    """The unique finite minimal generating set of the lattice points of a cone."""
+    """The unique finite minimal generating set of the lattice points of a
+    cone, as a chain in slope-descending order: ``ray_high`` first,
+    ``ray_low`` last."""
 
-    elements: frozenset[LatticePoint2]
+    elements: tuple[LatticePoint2, ...]
     cone: Cone2
 
 
@@ -149,10 +152,11 @@ def hilbert_basis(c: Cone2) -> HilbertBasis2:
     into nonzero cone points stay inside the parallelogram (their ray
     coefficients can only shrink), so irreducibility is decided by scanning
     pairwise sums of parallelogram points.  A degenerate cone has the
-    singleton basis consisting of its primitive ray.
+    singleton basis consisting of its primitive ray.  The elements are
+    returned sorted by slope, steepest first.
     """
     if c.is_degenerate:
-        return HilbertBasis2(frozenset({c.ray_low}), c)
+        return HilbertBasis2((c.ray_low,), c)
     points = _parallelogram_points(c)
     point_set = set(points)
 
@@ -161,7 +165,7 @@ def hilbert_basis(c: Cone2) -> HilbertBasis2:
             q.r <= p.r and q.s <= p.s and (p - q) in point_set for q in points
         )
 
-    return HilbertBasis2(frozenset(p for p in points if not reducible(p)), c)
+    return HilbertBasis2(tuple(slope_descending(p for p in points if not reducible(p))), c)
 
 
 def decompose_over(
@@ -218,13 +222,3 @@ def unimodular_decomposition(
     if (r, s) != (p.r, p.s) or any(m < 0 for _, m in pairs):
         return None
     return [(e, m) for e, m in pairs if m]
-
-
-def decompose(p: LatticePoint2, basis: HilbertBasis2) -> dict[LatticePoint2, int]:
-    """Deterministic decomposition of a cone point into Hilbert basis elements."""
-    if not cone_contains(basis.cone, p):
-        raise ValueError("point not in cone")
-    result = decompose_over(p, basis.elements)
-    if result is None:  # cannot happen: a Hilbert basis generates its cone
-        raise AssertionError(f"Hilbert basis failed to decompose {p}")
-    return result

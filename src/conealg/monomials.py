@@ -94,10 +94,6 @@ class Monomial:
         _same_nvars(self, other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
 
-    def lcm(self, other: "Monomial") -> "Monomial":
-        _same_nvars(self, other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         _same_nvars(self, other)
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
@@ -224,20 +220,6 @@ def maximal_ideal(nvars: int) -> MonomialIdeal:
         e[i] = 1
         gens.append(Monomial(tuple(e)))
     return MonomialIdeal(nvars, gens)
-
-
-def member(m: Monomial, ideal: MonomialIdeal) -> bool:
-    """Membership by definition: some generator divides m."""
-    if m.nvars != ideal.nvars:
-        raise ValueError(f"variable count mismatch: {m.nvars} vs {ideal.nvars}")
-    return ideal.contains(m)
-
-
-def ideal_intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Intersection, generated by the pairwise least common multiples."""
-    if a.nvars != b.nvars:
-        raise ValueError(f"variable count mismatch: {a.nvars} vs {b.nvars}")
-    return MonomialIdeal(a.nvars, (g.lcm(h) for g in a.gens for h in b.gens))
 
 
 def ideal_product(

@@ -5,7 +5,7 @@ fixed, so identical input yields identical bytes."""
 from typing import Sequence
 
 from .fans import Fan
-from .lattice import HilbertBasis2, LatticePoint2, slope_descending
+from .lattice import HilbertBasis2, LatticePoint2
 
 _SCALE = 40
 _MARGIN = 30
@@ -78,7 +78,7 @@ def render_fan_svg(fan: Fan, bases: Sequence[HilbertBasis2]) -> str:
         )
     marked: set[LatticePoint2] = set()
     for basis in bases:
-        for p in slope_descending(basis.elements):
+        for p in basis.elements:
             if p in marked:
                 continue
             marked.add(p)

@@ -4,13 +4,14 @@ These deliberately avoid the library's own algorithms: cone membership is
 solved with Fraction arithmetic (Cramer), irreducibles are found by scanning
 sums over the bounding box, decompositions by exhaustive multiplicity
 enumeration, power containment and minimal generators by raw divisibility,
-subadditivity witnesses by scanning all small pairs.
+subadditivity witnesses by scanning all small pairs, and ideal
+intersections from the pairwise least common multiples of the generators.
 """
 
 import itertools
 from fractions import Fraction
 
-from conealg import Cone2, LatticePoint2
+from conealg import Cone2, LatticePoint2, Monomial, MonomialIdeal
 
 
 def frac_cone_contains(c: Cone2, p: LatticePoint2) -> bool:
@@ -125,3 +126,12 @@ def brute_minimal_generators(gens) -> frozenset:
         if not any(h != g and all(x <= y for x, y in zip(h.exponents, g.exponents))
                    for h in gens)
     )
+
+
+def brute_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    """The intersection of two monomial ideals: the componentwise max of
+    every pair of generators, reduced by brute_minimal_generators."""
+    lcms = (
+        Monomial(tuple(map(max, g.exponents, h.exponents))) for g in a.gens for h in b.gens
+    )
+    return MonomialIdeal(a.nvars, brute_minimal_generators(lcms))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conealg import BigradedMonomial, LatticePoint2, Monomial, fan_order
-from conealg.cli import generators_to_json, main
+from conealg.cli import _build_parser, generators_to_json, main
 
 GOLDEN_LINES = [
     "x^2*y^3*v",
@@ -63,6 +63,10 @@ def test_console_script_entry_point(capsys):
     out, err = capsys.readouterr()
     assert code == 0 and err == ""
     assert out.splitlines() == GOLDEN_LINES
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
 
 
 def test_generators_byte_stable(capsys):

@@ -11,7 +11,6 @@ from conealg import (
     asymptotic_limits,
     intersection_generators,
     principal_intersection,
-    semigroup_generators,
     verify_generation,
 )
 from oracles import brute_irreducibles, largest_inner_power, random_exponent_pair
@@ -136,28 +135,6 @@ def test_scaling_multiplies_coefficients_only():
             BigradedMonomial(M(tuple(c * e for e in g.coeff.exponents)), g.degree)
             for g in base.generators
         }
-
-
-def test_semigroup_presentation_two_variables():
-    sg = semigroup_generators((5, 2), (2, 3))
-    assert sg.nvars == 2
-    assert len(sg.vectors) == 10
-    assert (2, 3, 0, 1) in sg.vectors  # x^2*y^3*v
-    assert (1, 0, 0, 0) in sg.vectors and (0, 1, 0, 0) in sg.vectors
-    degrees = {(g.degree.r, g.degree.s) for g in intersection_generators((5, 2), (2, 3)).generators}
-    for vec in sg.vectors:
-        assert len(vec) == 4
-        assert vec[-2:] in degrees or vec[-2:] == (0, 0)
-
-
-def test_semigroup_presentation_single_variable():
-    sg = semigroup_generators((1,), (1,))
-    assert set(sg.vectors) == {(1, 1, 0), (1, 0, 1), (1, 1, 1), (1, 0, 0)}
-
-
-def test_semigroup_rejects_empty():
-    with pytest.raises(ValueError):
-        semigroup_generators((), ())
 
 
 def test_verify_generation_golden_grid():

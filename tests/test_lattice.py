@@ -9,14 +9,12 @@ from conealg import (
     build_fan,
     cone,
     cone_contains,
-    decompose,
-    decompose_over,
+    det,
     fan_order,
     hilbert_basis,
     primitive,
-    slope_descending,
 )
-from conealg.lattice import unimodular_decomposition
+from conealg.lattice import decompose_over, slope_descending, unimodular_decomposition
 from oracles import all_decompositions, brute_irreducibles, frac_cone_contains
 
 P = LatticePoint2
@@ -82,20 +80,20 @@ def test_cone_contains_matches_fraction_oracle(r1, s1, r2, s2, pr, ps):
 
 
 def test_hilbert_basis_golden():
-    assert hilbert_basis(cone(P(2, 5), P(0, 1))).elements == {P(0, 1), P(1, 3), P(2, 5)}
-    assert hilbert_basis(cone(P(3, 2), P(2, 5))).elements == {
-        P(1, 1), P(1, 2), P(3, 2), P(2, 5)
-    }
-    assert hilbert_basis(cone(P(1, 0), P(3, 2))).elements == {P(1, 0), P(2, 1), P(3, 2)}
+    assert hilbert_basis(cone(P(2, 5), P(0, 1))).elements == (P(0, 1), P(1, 3), P(2, 5))
+    assert hilbert_basis(cone(P(3, 2), P(2, 5))).elements == (
+        P(2, 5), P(1, 2), P(1, 1), P(3, 2)
+    )
+    assert hilbert_basis(cone(P(1, 0), P(3, 2))).elements == (P(3, 2), P(2, 1), P(1, 0))
 
 
 def test_hilbert_basis_unimodular():
-    assert hilbert_basis(cone(P(1, 0), P(0, 1))).elements == {P(1, 0), P(0, 1)}
+    assert hilbert_basis(cone(P(1, 0), P(0, 1))).elements == (P(0, 1), P(1, 0))
 
 
 def test_hilbert_basis_degenerate():
     basis = hilbert_basis(cone(P(2, 2), P(3, 3)))
-    assert basis.elements == {P(1, 1)}
+    assert basis.elements == (P(1, 1),)
 
 
 SAMPLE_RAY_PAIRS = [
@@ -114,7 +112,10 @@ SAMPLE_RAY_PAIRS = [
 @pytest.mark.parametrize("u,w", SAMPLE_RAY_PAIRS)
 def test_hilbert_basis_matches_brute_force(u, w):
     c = cone(u, w)
-    assert hilbert_basis(c).elements == brute_irreducibles(c)
+    elements = hilbert_basis(c).elements
+    assert set(elements) == brute_irreducibles(c)
+    assert elements[0] == c.ray_high and elements[-1] == c.ray_low
+    assert all(det(l, h) == 1 for h, l in zip(elements, elements[1:]))
 
 
 @pytest.mark.parametrize("u,w", SAMPLE_RAY_PAIRS)
@@ -142,7 +143,7 @@ def test_hilbert_basis_generation_up_to_25(u, w):
             p = P(r, s)
             if not cone_contains(c, p):
                 continue
-            parts = decompose(p, basis)
+            parts = decompose_over(p, basis.elements)
             total = P(0, 0)
             for e, m in parts.items():
                 assert m > 0 and e in basis.elements
@@ -160,7 +161,7 @@ def test_hilbert_basis_pure_function():
 @pytest.mark.parametrize("u,w", SAMPLE_RAY_PAIRS)
 def test_hilbert_basis_swap_symmetry(u, w):
     swapped = hilbert_basis(cone(P(u.s, u.r), P(w.s, w.r))).elements
-    assert swapped == {P(p.s, p.r) for p in hilbert_basis(cone(u, w)).elements}
+    assert swapped == tuple(P(p.s, p.r) for p in reversed(hilbert_basis(cone(u, w)).elements))
 
 
 def test_slope_descending_order():
@@ -170,22 +171,21 @@ def test_slope_descending_order():
 
 def test_decompose_examples():
     basis = hilbert_basis(cone(P(2, 5), P(0, 1)))
-    assert decompose(P(0, 0), basis) == {}
-    assert decompose(P(2, 6), basis) == {P(2, 5): 1, P(0, 1): 1}
-    assert decompose(P(4, 10), basis) == {P(2, 5): 2}
+    assert decompose_over(P(0, 0), basis.elements) == {}
+    assert decompose_over(P(2, 6), basis.elements) == {P(2, 5): 1, P(0, 1): 1}
+    assert decompose_over(P(4, 10), basis.elements) == {P(2, 5): 2}
 
 
 def test_decompose_agrees_with_exhaustive_oracle():
     basis = hilbert_basis(cone(P(2, 5), P(0, 1)))
     valid = all_decompositions(P(2, 6), basis.elements)
-    assert decompose(P(2, 6), basis) in valid
+    assert decompose_over(P(2, 6), basis.elements) in valid
     assert {P(2, 5): 1, P(0, 1): 1} in valid
 
 
 def test_decompose_outside_cone():
     basis = hilbert_basis(cone(P(2, 5), P(0, 1)))
-    with pytest.raises(ValueError, match="not in cone"):
-        decompose(P(5, 1), basis)
+    assert decompose_over(P(5, 1), basis.elements) is None
 
 
 def test_decompose_deterministic():
@@ -194,7 +194,7 @@ def test_decompose_deterministic():
     for _ in range(50):
         l1, l2 = rng.randint(0, 6), rng.randint(0, 6)
         p = basis.cone.ray_low.scaled(l1) + basis.cone.ray_high.scaled(l2)
-        assert decompose(p, basis) == decompose(p, basis)
+        assert decompose_over(p, basis.elements) == decompose_over(p, basis.elements)
 
 
 def test_decompose_over_failure_returns_none():
@@ -206,7 +206,7 @@ def test_decompose_over_failure_returns_none():
 def test_decompose_recombines_in_cone(l1, l2):
     basis = hilbert_basis(cone(P(3, 1), P(1, 3)))
     p = basis.cone.ray_low.scaled(l1) + basis.cone.ray_high.scaled(l2)
-    parts = decompose(p, basis)
+    parts = decompose_over(p, basis.elements)
     total = P(0, 0)
     for e, m in parts.items():
         total = total + e.scaled(m)
@@ -244,7 +244,7 @@ def test_unimodular_decomposition_against_search_and_oracle(a, b, cone_pick, l1,
     a2, b2, _ = fan_order(a, b)
     fan = build_fan(a2, b2)
     c = fan.cones[cone_pick % len(fan.cones)]
-    chain = slope_descending(hilbert_basis(c).elements)
+    chain = hilbert_basis(c).elements
     p = c.ray_low.scaled(l1) + c.ray_high.scaled(l2) + chain[e_pick % len(chain)]
     pairs = unimodular_decomposition(p, chain)
     assert pairs is not None and len(pairs) <= 2
@@ -264,8 +264,8 @@ def test_unimodular_decomposition_against_search_and_oracle(a, b, cone_pick, l1,
 
 
 def test_unimodular_decomposition_examples():
-    chain = slope_descending(hilbert_basis(cone(P(0, 1), P(2, 5))).elements)
-    assert chain == [P(0, 1), P(1, 3), P(2, 5)]
+    chain = hilbert_basis(cone(P(0, 1), P(2, 5))).elements
+    assert chain == (P(0, 1), P(1, 3), P(2, 5))
     assert unimodular_decomposition(P(0, 0), chain) == []
     assert unimodular_decomposition(P(2, 6), chain) == [(P(1, 3), 2)]
     assert unimodular_decomposition(P(3, 8), chain) == [(P(2, 5), 1), (P(1, 3), 1)]
