@@ -235,8 +235,7 @@ def _ordered_fan(args):
 def _cmd_fan(args) -> int:
     fan = _ordered_fan(args)
     if args.format == "svg":
-        bases = [hilbert_basis(c) for c in fan.cones]
-        print(render_fan_svg(fan, bases), end="")
+        print(render_fan_svg(fan), end="")
     elif args.format == "json":
         payload = {
             "format_version": 1,

@@ -12,13 +12,13 @@ witness directly: a genuine violating pair, not necessarily the smallest.
 """
 
 import json
-from dataclasses import dataclass
-from functools import cache, partial, reduce
+from dataclasses import dataclass, field
+from functools import cache, reduce
 from typing import Callable, Iterable, Optional, Sequence
 
 from .fans import Fan, build_fan, fan_order, locate
 from .generators import VerificationReport, _verify_grid
-from .lattice import LatticePoint2, det, hilbert_basis
+from .lattice import LatticePoint2, det
 from .monomials import (
     BigradedMonomial,
     Monomial,
@@ -140,11 +140,19 @@ def check_fan_linear(
 class FanAlgebraSpec:
     """Ideals I_1..I_n with fan-linear exponent functions f_1..f_n over one
     shared fan: the data of the graded algebra with (r, s) component
-    I_1^{f_1(r,s)} ... I_n^{f_n(r,s)}."""
+    I_1^{f_1(r,s)} ... I_n^{f_n(r,s)}.
+
+    The powers of its ideals are remembered by (ideal, m, cap) for the life of
+    the spec, so generation and verification compute each one once.  A call
+    that raises stores nothing, so a later identical call raises the same
+    PowerCapError."""
 
     variables: tuple[str, ...]
     ideals: tuple[MonomialIdeal, ...]
     functions: tuple[FanLinearFunction, ...]
+    _power: Callable[[MonomialIdeal, int, int], MonomialIdeal] = field(
+        default_factory=lambda: cache(ideal_power), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.ideals) != len(self.functions) or not self.ideals:
@@ -167,45 +175,32 @@ class FanAlgebraSpec:
         return self.functions[0].fan
 
 
-Power = Callable[[MonomialIdeal, int], MonomialIdeal]
-
-
-def _power_table(max_candidates: Optional[int]) -> Power:
-    """ideal_power remembered by (ideal, m), to be kept for one call only.
-    A call that raises stores nothing, so a later identical call raises the
-    same PowerCapError."""
-    return cache(partial(ideal_power, max_candidates=max_candidates))
-
-
 def _product_of_powers(
-    nvars: int,
-    factors: Iterable[tuple[MonomialIdeal, int]],
-    power: Power,
-    max_candidates: Optional[int],
+    spec: FanAlgebraSpec, factors: Iterable[tuple[MonomialIdeal, int]], max_candidates: int
 ) -> MonomialIdeal:
-    """The product of power(ideal, m) over the (ideal, m) factors; (1) if
+    """The product of the spec's powers of the (ideal, m) factors; (1) if
     there are none."""
-    powers = [power(ideal, m) for ideal, m in factors]
+    powers = [spec._power(ideal, m, max_candidates) for ideal, m in factors]
     if not powers:
+        nvars = len(spec.variables)
         return MonomialIdeal(nvars, [unit_monomial(nvars)])
     return reduce(lambda x, y: ideal_product(x, y, max_candidates), powers)
 
 
 def _component_on_cone(
-    spec: FanAlgebraSpec, i: int, p: LatticePoint2, power: Power, max_candidates: Optional[int]
+    spec: FanAlgebraSpec, i: int, p: LatticePoint2, max_candidates: int
 ) -> MonomialIdeal:
     factors = [(ideal, f.piece_value(i, p)) for ideal, f in zip(spec.ideals, spec.functions)]
-    return _product_of_powers(len(spec.variables), factors, power, max_candidates)
+    return _product_of_powers(spec, factors, max_candidates)
 
 
 def graded_component(
     spec: FanAlgebraSpec, r: int, s: int, max_candidates: Optional[int] = None
 ) -> MonomialIdeal:
     """The (r, s) component I_1^{f_1(r,s)} ... I_n^{f_n(r,s)} as a monomial
-    ideal, with every power computed afresh."""
+    ideal, from the powers the spec keeps."""
     p = LatticePoint2(r, s)
-    power = partial(ideal_power, max_candidates=max_candidates)
-    return _component_on_cone(spec, locate(spec.fan, p), p, power, max_candidates)
+    return _component_on_cone(spec, locate(spec.fan, p), p, _candidate_cap(max_candidates))
 
 
 def fan_algebra_generators(
@@ -215,22 +210,20 @@ def fan_algebra_generators(
     cone, one generator per minimal generator of the (r, s) component.
 
     Ordered by cone index, then descending slope of the degree, then
-    descending exponent order of the coefficient; duplicates from shared rays
-    keep their first occurrence.
+    descending exponent order of the coefficient.  A degree shared by several
+    cones is taken on the first of them: face agreement gives every cone that
+    holds it the same component.
     """
     max_candidates = _candidate_cap(max_candidates)
-    power = _power_table(max_candidates)
-    out: list[BigradedMonomial] = []
-    seen: set[BigradedMonomial] = set()
-    for i, c in enumerate(spec.fan.cones):
-        for p in hilbert_basis(c).elements:
-            component = _component_on_cone(spec, i, p, power, max_candidates)
-            for mono in component.sorted_gens():
-                bm = BigradedMonomial(mono, p)
-                if bm not in seen:
-                    seen.add(bm)
-                    out.append(bm)
-    return tuple(out)
+    first_cone = {}
+    for i, chain in enumerate(spec.fan.chains):
+        for p in chain:
+            first_cone.setdefault(p, i)
+    return tuple(
+        BigradedMonomial(mono, p)
+        for p, i in first_cone.items()
+        for mono in _component_on_cone(spec, i, p, max_candidates).sorted_gens()
+    )
 
 
 def intersection_as_fan_algebra(
@@ -278,7 +271,8 @@ def verify_fan_algebra(
 
     The component at a Hilbert degree is rebuilt from the supplied generators,
     so missing or tampered generators surface as reported failures.  Both
-    sides of the comparison share one table of ideal powers for this call.
+    sides of the comparison take their ideal powers from the spec, which
+    keeps those of an earlier fan_algebra_generators call.
     """
     max_candidates = _candidate_cap(max_candidates)
     by_degree: dict[LatticePoint2, set[Monomial]] = {}
@@ -286,16 +280,14 @@ def verify_fan_algebra(
         by_degree.setdefault(g.degree, set()).add(g.coeff)
     nvars = len(spec.variables)
     ideals = {d: MonomialIdeal(nvars, coeffs) for d, coeffs in by_degree.items()}
-    chains = [hilbert_basis(c).elements for c in spec.fan.cones]
     reasons = (
         "no decomposition into available generator degrees",
         "generator component product differs from the graded component",
     )
-    power = _power_table(max_candidates)
     return _verify_grid(
-        spec.fan, chains, ideals, r_max, s_max,
-        lambda factors: _product_of_powers(nvars, factors, power, max_candidates),
-        lambda i, p: _component_on_cone(spec, i, p, power, max_candidates),
+        spec.fan, ideals, r_max, s_max,
+        lambda factors: _product_of_powers(spec, factors, max_candidates),
+        lambda i, p: _component_on_cone(spec, i, p, max_candidates),
         reasons,
         max_candidates,
     )
@@ -378,17 +370,17 @@ def load_fan_algebra_spec(text: str) -> FanAlgebraSpec:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
         raise SpecFormatError(f"invalid JSON: {e}") from e
     if not isinstance(data, dict):
         raise SpecFormatError("top level: expected an object")
     unknown = set(data) - set(_REQUIRED_FIELDS) - {"format_version"}
     if unknown:
         raise SpecFormatError(f"unknown field {sorted(unknown)[0]!r}")
-    for field in _REQUIRED_FIELDS:
-        if field not in data:
-            raise SpecFormatError(f"missing field {field!r}")
-    version = data.get("format_version", 1)
+    for name in _REQUIRED_FIELDS:
+        if name not in data:
+            raise SpecFormatError(f"missing field {name!r}")
+    version = _expect_int("format_version", data.get("format_version", 1))
     if version != 1:
         raise SpecFormatError(f"format_version: unsupported version {version!r}")
 
@@ -401,10 +393,10 @@ def load_fan_algebra_spec(text: str) -> FanAlgebraSpec:
         raise SpecFormatError(str(e)) from e
 
     exponents = {}
-    for field in ("a", "b"):
-        entries = _expect_list(field, data[field])
-        exponents[field] = tuple(
-            _expect_int(f"{field}[{i}]", x) for i, x in enumerate(entries)
+    for name in ("a", "b"):
+        entries = _expect_list(name, data[name])
+        exponents[name] = tuple(
+            _expect_int(f"{name}[{i}]", x) for i, x in enumerate(entries)
         )
     a, b = exponents["a"], exponents["b"]
     try:

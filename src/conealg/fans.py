@@ -8,10 +8,10 @@ sentinel rays (0,1) and (1,0); together they cover the first quadrant.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import Sequence
 
-from .lattice import Cone2, LatticePoint2, det, primitive
+from .lattice import Cone2, LatticePoint2, det, hilbert_basis, primitive
 
 
 def _check_exponent_vector(name: str, v: tuple[int, ...]) -> None:
@@ -68,6 +68,11 @@ class Fan:
     a: tuple[int, ...]
     b: tuple[int, ...]
     cones: tuple[Cone2, ...]
+
+    @cached_property
+    def chains(self) -> tuple[tuple[LatticePoint2, ...], ...]:
+        """The slope-descending Hilbert basis of each cone, built on first use."""
+        return tuple(hilbert_basis(c).elements for c in self.cones)
 
 
 def build_fan(a: Sequence[int], b: Sequence[int]) -> Fan:

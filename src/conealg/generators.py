@@ -14,23 +14,22 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .fans import Fan, build_fan, fan_order, locate
-from .lattice import LatticePoint2, hilbert_basis, unimodular_decomposition
+from .lattice import LatticePoint2, unimodular_decomposition
 from .monomials import BigradedMonomial, PowerCapError, _candidate_cap, principal_intersection
 
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """A deduplicated generating set with per-cone provenance.
+    """A deduplicated generating set and the fan it was read from.
 
-    ``generators`` is ordered by cone index, then by descending slope of the
-    (u, v)-degree; boundary elements shared by adjacent cones keep their first
-    occurrence.  ``per_cone[i]`` lists (hilbert element, generator) pairs for
-    cone i, including boundary duplicates.
+    ``generators`` holds one generator per distinct degree of the Hilbert
+    chains in ``fan.chains``, ordered by cone index, then by descending slope
+    of the (u, v)-degree; a degree shared by several cones keeps its first
+    occurrence.
     """
 
     generators: tuple[BigradedMonomial, ...]
     fan: Fan
-    per_cone: tuple[tuple[tuple[LatticePoint2, BigradedMonomial], ...], ...]
 
 
 def intersection_generators(a: Sequence[int], b: Sequence[int]) -> GeneratorSet:
@@ -42,19 +41,10 @@ def intersection_generators(a: Sequence[int], b: Sequence[int]) -> GeneratorSet:
     a, b = tuple(a), tuple(b)
     a2, b2, _ = fan_order(a, b)
     fan = build_fan(a2, b2)
-    ordered: list[BigradedMonomial] = []
-    seen: set[LatticePoint2] = set()
-    per_cone = []
-    for c in fan.cones:
-        entries = []
-        for p in hilbert_basis(c).elements:
-            bm = BigradedMonomial(principal_intersection(a, b, p.r, p.s), p)
-            entries.append((p, bm))
-            if p not in seen:
-                seen.add(p)
-                ordered.append(bm)
-        per_cone.append(tuple(entries))
-    return GeneratorSet(tuple(ordered), fan, tuple(per_cone))
+    degrees = dict.fromkeys(p for chain in fan.chains for p in chain)
+    return GeneratorSet(
+        tuple(BigradedMonomial(principal_intersection(a, b, p.r, p.s), p) for p in degrees), fan
+    )
 
 
 @dataclass(frozen=True)
@@ -80,7 +70,6 @@ class VerificationReport:
 
 def _verify_grid(
     fan: Fan,
-    chains: Sequence[Sequence[LatticePoint2]],
     available: Mapping[LatticePoint2, object],
     r_max: int,
     s_max: int,
@@ -90,11 +79,12 @@ def _verify_grid(
     max_candidates: Optional[int] = None,
 ) -> VerificationReport:
     """The grid loop of both verifiers.  Each (r, s) is written along the
-    bracketing unimodular pair of ``chains[i]``, the slope-descending Hilbert
-    chain of its cone i; if that fails or uses a degree not in ``available``,
-    the cell fails with ``reasons[0]``.  Otherwise ``product`` of the
-    (available[degree], multiplicity) factors must equal ``component(i, p)``
-    at the point p = (r, s), or the cell fails with ``reasons[1]``.
+    bracketing unimodular pair of ``fan.chains[i]``, the Hilbert chain of its
+    cone i, which the fan builds once for all callers; if that fails or uses
+    a degree not in ``available``, the cell fails with ``reasons[0]``.
+    Otherwise ``product`` of the (available[degree], multiplicity) factors
+    must equal ``component(i, p)`` at the point p = (r, s), or the cell fails
+    with ``reasons[1]``.
 
     A grid of more cells than the candidate cap raises PowerCapError before
     any cell is checked."""
@@ -110,7 +100,7 @@ def _verify_grid(
         for s in range(s_max + 1):
             p = LatticePoint2(r, s)
             i = locate(fan, p)
-            pairs = unimodular_decomposition(p, chains[i])
+            pairs = unimodular_decomposition(p, fan.chains[i])
             if pairs is None or any(e not in available for e, _ in pairs):
                 why = reasons[0]
             elif product([(available[e], m) for e, m in pairs]) == component(i, p):
@@ -134,19 +124,15 @@ def verify_generation(
     product of the supplied generators.
 
     For each (r, s): locate its cone, write (r, s) along the bracketing
-    unimodular pair of the cone's Hilbert elements, add the exponents of those
-    generators (which must be in ``gens``) with their multiplicities, and
-    compare with the componentwise-max oracle.  Failures are reported, never
-    raised.
+    unimodular pair of the cone's chain in ``gens.fan.chains``, add the
+    exponents of the generators at those degrees (which must be in ``gens``)
+    with their multiplicities, and compare with the componentwise-max oracle.
+    Failures are reported, never raised.
     """
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
         raise ValueError("exponent vectors must have the same length")
-    present = set(gens.generators)
-    chains = [[p for p, _ in entries] for entries in gens.per_cone]
-    coeffs = {
-        p: bm.coeff.exponents for entries in gens.per_cone for p, bm in entries if bm in present
-    }
+    coeffs = {bm.degree: bm.coeff.exponents for bm in gens.generators}
 
     def product(factors: list[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
         out = (0,) * len(a)
@@ -161,7 +147,7 @@ def verify_generation(
         "no decomposition into available generators",
         "generator product differs from the component generator",
     )
-    return _verify_grid(gens.fan, chains, coeffs, r_max, s_max, product, component, reasons)
+    return _verify_grid(gens.fan, coeffs, r_max, s_max, product, component, reasons)
 
 
 class AsymptoticLimits(NamedTuple):

@@ -2,10 +2,8 @@
 Hilbert basis points.  All coordinates are exact integers and the styling is
 fixed, so identical input yields identical bytes."""
 
-from typing import Sequence
-
 from .fans import Fan
-from .lattice import HilbertBasis2, LatticePoint2
+from .lattice import LatticePoint2
 
 _SCALE = 40
 _MARGIN = 30
@@ -15,14 +13,10 @@ _AXIS_STROKE = "#9ca3af"
 _POINT_FILL = "#b91c1c"
 
 
-def render_fan_svg(fan: Fan, bases: Sequence[HilbertBasis2]) -> str:
-    extent = 6
-    for c in fan.cones:
-        for ray in (c.ray_low, c.ray_high):
-            extent = max(extent, ray.r, ray.s)
-    for basis in bases:
-        for p in basis.elements:
-            extent = max(extent, p.r, p.s)
+def render_fan_svg(fan: Fan) -> str:
+    # every ray ends a chain, so the distinct chain points bound the picture
+    points = dict.fromkeys(p for chain in fan.chains for p in chain)
+    extent = max(6, *(max(p.r, p.s) for p in points))
     size = extent * _SCALE + 2 * _MARGIN
 
     def x(v: int) -> int:
@@ -76,14 +70,7 @@ def render_fan_svg(fan: Fan, bases: Sequence[HilbertBasis2]) -> str:
             f'<text x="{mx}" y="{my}" font-family="monospace" font-size="14"'
             f' fill="{_RAY_STROKE}">C{i}</text>'
         )
-    marked: set[LatticePoint2] = set()
-    for basis in bases:
-        for p in basis.elements:
-            if p in marked:
-                continue
-            marked.add(p)
-            lines.append(
-                f'<circle cx="{x(p.r)}" cy="{y(p.s)}" r="4" fill="{_POINT_FILL}"/>'
-            )
+    for p in points:
+        lines.append(f'<circle cx="{x(p.r)}" cy="{y(p.s)}" r="4" fill="{_POINT_FILL}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

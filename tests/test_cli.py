@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conealg import BigradedMonomial, LatticePoint2, Monomial, fan_order
+from conealg import BigradedMonomial, LatticePoint2, Monomial, build_fan, fan_order
 from conealg.cli import _build_parser, generators_to_json, main
 
 GOLDEN_LINES = [
@@ -184,6 +185,21 @@ def test_fan_svg_deterministic(capsys):
     assert "<circle" in first and "<polygon" in first
 
 
+@pytest.mark.parametrize(
+    "a,b,size,digest",
+    [
+        ("5,2", "2,3", 1477, "dea143688d679ccf48c26a4bc470b4b62c5921ef451b02d8c770b34969c77492"),
+        ("1,1", "1,1", 1002, "0028ee3a80189769c644fc44d80cc38ea4b2d508ba9621c784bdaeb801adc686"),
+    ],
+    ids=["two-variables", "degenerate-cone"],
+)
+def test_fan_svg_golden_bytes(capsys, a, b, size, digest):
+    code, out, err = run(capsys, "fan", "--a", a, "--b", b, "--format", "svg")
+    assert code == 0 and err == ""
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_pass(capsys):
     code, out, _ = run(
         capsys, "verify", "--a", "5,2", "--b", "2,3", "--rmax", "15", "--smax", "15"
@@ -248,6 +264,62 @@ def test_fan_algebra_schema_error(tmp_path, capsys):
     code, _, err = run(capsys, "fan-algebra", "--spec", str(path))
     assert code == 2
     assert "a[0]" in err
+
+
+def test_fan_algebra_deeply_nested_spec_exits_2(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "fan-algebra", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_fan_algebra_format_version_must_be_an_exact_integer(tmp_path, capsys, version):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SPEC_PAYLOAD, format_version=version)))
+    code, out, err = run(capsys, "fan-algebra", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert "format_version: expected an exact integer" in err
+
+
+# A non-principal spec on three cones: max(r*a_k, s*b_k) pieces for
+# a = (2, 1), b = (1, 2), with I_1 = (x, y^2) and I_2 = (y).
+TWO_IDEAL_SPEC = dict(
+    SPEC_PAYLOAD, a=[2, 1], b=[1, 2], ideals=[["x", "y^2"], ["y"]],
+    pieces=[[[0, 1], [2, 0], [2, 0]], [[0, 2], [0, 2], [1, 0]]],
+)
+
+
+def test_fan_algebra_verify_builds_each_chain_once(tmp_path, capsys, calls):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(TWO_IDEAL_SPEC))
+    seen = calls("lattice.hilbert_basis")
+    code, out, _ = run(capsys, "fan-algebra", "--spec", str(path), "--verify", "6x6")
+    assert code == 0 and out.endswith("PASS 49/49 components\n")
+    assert [c for c, in seen] == list(build_fan((2, 1), (1, 2)).cones)
+
+
+def test_fan_algebra_verify_computes_each_power_once(tmp_path, capsys, calls):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(TWO_IDEAL_SPEC))
+    seen = calls("monomials.ideal_power")
+    code, out, _ = run(capsys, "fan-algebra", "--spec", str(path), "--verify", "6x6")
+    assert code == 0 and out.endswith("PASS 49/49 components\n")
+    assert len(seen) > 2 and len(set(seen)) == len(seen)
+
+
+def test_verify_computes_each_distinct_degree_once(capsys, calls):
+    # the repeated ratio 5/2 gives a degenerate cone, so the degree (2,5)
+    # ends one chain, is the whole next one and starts a third
+    seen = calls("monomials.principal_intersection")
+    code, out, _ = run(capsys, "verify", "--a", "5,5,2", "--b", "2,2,3",
+                       "--rmax", "6", "--smax", "6")
+    assert code == 0 and out == "PASS 49/49 components\n"
+    degrees = [LatticePoint2(r, s) for *_, r, s in seen]
+    assert len(set(degrees)) == len(degrees)
+    chains = build_fan((5, 5, 2), (2, 2, 3)).chains
+    assert set(degrees) == {p for chain in chains for p in chain}
 
 
 def test_fan_algebra_missing_file(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -44,13 +45,13 @@ def test_golden_generators_exact_order():
 
 def test_golden_generators_per_cone_provenance():
     gs = intersection_generators((5, 2), (2, 3))
-    assert [len(entries) for entries in gs.per_cone] == [3, 4, 3]
-    for entries in gs.per_cone:
-        for p, bm in entries:
-            assert bm.degree == p
-            assert bm.coeff == principal_intersection((5, 2), (2, 3), p.r, p.s)
-    # boundary Hilbert elements appear in two cones but yield one generator
-    assert sum(1 for e in gs.per_cone[0] + gs.per_cone[1] if e[0] == P(2, 5)) == 2
+    assert [len(chain) for chain in gs.fan.chains] == [3, 4, 3]
+    degrees = [p for chain in gs.fan.chains for p in chain]
+    assert [bm.degree for bm in gs.generators] == list(dict.fromkeys(degrees))
+    for bm in gs.generators:
+        assert bm.coeff == principal_intersection((5, 2), (2, 3), bm.degree.r, bm.degree.s)
+    # boundary Hilbert elements appear in two chains but yield one generator
+    assert sum(1 for chain in gs.fan.chains[:2] if P(2, 5) in chain) == 2
     assert sum(1 for g in gs.generators if g.degree == P(2, 5)) == 1
 
 
@@ -147,9 +148,7 @@ def test_verify_generation_golden_grid():
 def test_verify_generation_detects_missing_generator():
     gs = intersection_generators((5, 2), (2, 3))
     removed = bg((2, 3), 0, 1)
-    tampered = GeneratorSet(
-        tuple(g for g in gs.generators if g != removed), gs.fan, gs.per_cone
-    )
+    tampered = GeneratorSet(tuple(g for g in gs.generators if g != removed), gs.fan)
     report = verify_generation((5, 2), (2, 3), tampered, 15, 15)
     assert not report.passed
     assert report.first_failure == P(0, 1)
@@ -196,8 +195,8 @@ def test_asymptotic_limit_matches_divisibility_oracle():
 def test_verify_generation_does_not_trust_the_hilbert_chain():
     gs = intersection_generators((5, 2), (2, 3))
     # without (1,3), cone 0's chain (0,1),(2,5) is no Hilbert basis: det 2
-    per_cone = (tuple(e for e in gs.per_cone[0] if e[0] != P(1, 3)),) + gs.per_cone[1:]
-    tampered = GeneratorSet(gs.generators, gs.fan, per_cone)
+    chains = (tuple(p for p in gs.fan.chains[0] if p != P(1, 3)),) + gs.fan.chains[1:]
+    tampered = GeneratorSet(gs.generators, SimpleNamespace(cones=gs.fan.cones, chains=chains))
     report = verify_generation((5, 2), (2, 3), tampered, 4, 4)
     assert not report.passed
     assert report.first_failure == P(0, 1)

@@ -1,0 +1,85 @@
+"""One digest over the CLI's answers to the benchmark's operation pools.
+
+Run from the root of a checkout, stdlib only:
+
+    python3 tools/cli_digest.py --seeds 1 2 3
+
+For each seed it builds the generate-thin, verify-grid and fan-algebra pools
+with ``bench/workloads.build`` (spec files go to a temporary directory), adds
+the fixed ``EXTRAS`` argvs, calls ``conealg.cli.main`` in this process on
+each, and feeds argv, exit code, stdout and stderr into one sha256.  The
+temporary directory's path is replaced by ``<spec>`` first, so two runs
+agree whenever the CLI answers alike.  It prints one line per pool and a
+last line with the total operation count and the digest.
+
+``--root`` names the checkout whose ``src`` and ``bench`` are imported
+(default: the one holding this script), so one copy of the script can digest
+a parent commit and a change alike.
+"""
+
+import argparse
+import hashlib
+import io
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+WORKLOADS = ("generate-thin", "verify-grid", "fan-algebra")
+EXTRAS = [
+    ["fan", "--a", "5,2", "--b", "2,3", "--format", "svg"],
+    ["fan", "--a", "1,1", "--b", "1,1", "--format", "svg"],
+    ["fan", "--a", "7,5,3,1", "--b", "1,2,4,6", "--format", "svg"],
+    ["hilbert-basis", "--ray", "1,0", "--ray", "5,24"],
+    ["hilbert-basis", "--ray", "2,7", "--ray", "3,1", "--format", "json"],
+    ["hilbert-basis", "--ray", "4,4", "--ray", "2,2"],
+]
+
+
+def _answer(main, argv):
+    """(exit code, stdout, stderr) of one in-process call; an exception that
+    escapes ``main`` stands in for the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = repr(main(argv))
+        except (Exception, SystemExit) as e:  # a traceback, or argparse's exit
+            code = f"raised {type(e).__name__}: {e}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def _record(main, argv, spec_dir):
+    parts = ["\0".join(argv), *_answer(main, argv)]
+    return "\1".join(parts).replace(spec_dir, "<spec>").encode() + b"\2"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(args.root / "src"), str(args.root / "bench")]
+    import workloads
+    from conealg.cli import main as cli_main
+
+    total, count = hashlib.sha256(), 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in args.seeds:
+            for workload in WORKLOADS:
+                spec_dir = Path(tmp) / f"{workload}-{seed}"
+                ops = workloads.build(workload, seed, spec_dir)
+                pool = hashlib.sha256()
+                for op in ops:
+                    record = _record(cli_main, op.argv, str(spec_dir))
+                    pool.update(record)
+                    total.update(record)
+                count += len(ops)
+                print(f"{workload} seed {seed}: {len(ops)} ops sha256 {pool.hexdigest()}")
+        for extra in EXTRAS:
+            total.update(_record(cli_main, extra, tmp))
+        count += len(EXTRAS)
+    print(f"total: {count} ops sha256 {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
