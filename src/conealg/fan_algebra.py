@@ -269,10 +269,12 @@ def verify_fan_algebra(
     product of generator components along the bracketing unimodular pair of
     Hilbert basis elements of (r, s).
 
-    The component at a Hilbert degree is rebuilt from the supplied generators,
-    so missing or tampered generators surface as reported failures.  Both
-    sides of the comparison take their ideal powers from the spec, which
-    keeps those of an earlier fan_algebra_generators call.
+    The grid is walked row by row, each pair's determinant 1 checked once
+    (see ``generators._verify_grid``).  The component at a Hilbert degree is
+    rebuilt from the supplied generators, so missing or tampered generators
+    surface as reported failures.  Both sides of the comparison take their
+    ideal powers from the spec, which keeps those of an earlier
+    fan_algebra_generators call.
     """
     max_candidates = _candidate_cap(max_candidates)
     by_degree: dict[LatticePoint2, set[Monomial]] = {}
@@ -287,7 +289,7 @@ def verify_fan_algebra(
     return _verify_grid(
         spec.fan, ideals, r_max, s_max,
         lambda factors: _product_of_powers(spec, factors, max_candidates),
-        lambda i, p: _component_on_cone(spec, i, p, max_candidates),
+        lambda i, r, s: _component_on_cone(spec, i, LatticePoint2(r, s), max_candidates),
         reasons,
         max_candidates,
     )
@@ -372,6 +374,8 @@ def load_fan_algebra_spec(text: str) -> FanAlgebraSpec:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
         raise SpecFormatError(f"invalid JSON: {e}") from e
+    except ValueError as e:  # an integer past the digit limit; drop the hint at a Python call
+        raise SpecFormatError(f"invalid JSON: {str(e).partition(';')[0]}") from e
     if not isinstance(data, dict):
         raise SpecFormatError("top level: expected an object")
     unknown = set(data) - set(_REQUIRED_FIELDS) - {"format_version"}

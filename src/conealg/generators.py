@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .fans import Fan, build_fan, fan_order, locate
-from .lattice import LatticePoint2, unimodular_decomposition
+from .fans import Fan, build_fan, fan_order
+from .lattice import LatticePoint2
 from .monomials import BigradedMonomial, PowerCapError, _candidate_cap, principal_intersection
 
 
@@ -74,42 +74,66 @@ def _verify_grid(
     r_max: int,
     s_max: int,
     product: Callable[[list], object],
-    component: Callable[[int, LatticePoint2], object],
+    component: Callable[[int, int, int], object],
     reasons: tuple[str, str],
     max_candidates: Optional[int] = None,
 ) -> VerificationReport:
-    """The grid loop of both verifiers.  Each (r, s) is written along the
-    bracketing unimodular pair of ``fan.chains[i]``, the Hilbert chain of its
-    cone i, which the fan builds once for all callers; if that fails or uses
-    a degree not in ``available``, the cell fails with ``reasons[0]``.
-    Otherwise ``product`` of the (available[degree], multiplicity) factors
-    must equal ``component(i, p)`` at the point p = (r, s), or the cell fails
-    with ``reasons[1]``.
-
-    A grid of more cells than the candidate cap raises PowerCapError before
-    any cell is checked."""
+    """The grid loop of both verifiers.  Each p = (r, s) is written along the
+    bracketing pair (h, l) of ``fan.chains[i]``, the Hilbert chain of its cone
+    i, as det(p, h)*l + det(l, p)*h = det(l, h)*p, so det(l, h) = 1 is
+    checked once per pair; a one-element chain gives a multiple of it.  If
+    that fails, a multiplicity is negative or a degree used is not in
+    ``available``, the cell fails with ``reasons[0]``; otherwise ``product``
+    of the (available[degree], multiplicity) factors must equal
+    ``component(i, r, s)``, or it fails with ``reasons[1]``.  Along a row s
+    grows, so det(ray_low, p) and det(e, p) never decrease: two cursors find
+    the cone (as ``locate`` does) and the pair, moving only towards index 0.
+    A grid of more cells than the candidate cap raises PowerCapError first."""
     if r_max < 0 or s_max < 0:
         raise ValueError("grid bounds must be nonnegative")
     total = (r_max + 1) * (s_max + 1)
     cap = _candidate_cap(max_candidates)
     if total > cap:
         raise PowerCapError(f"grid too large: {total} cells exceed cap {cap}")
+    lows = [(c.ray_low.r, c.ray_low.s) for c in fan.cones]
+    chains = []  # per cone: element coordinates and values (None if absent), det 1 per pair
+    for chain in fan.chains:
+        points = [(e.r, e.s) for e in chain]
+        unimodular = [lr * hs - ls * hr == 1 for (hr, hs), (lr, ls) in zip(points, points[1:])]
+        chains.append((points, [available.get(e) for e in chain], unimodular))
     failures = 0
     first = reason = None
     for r in range(r_max + 1):
+        i, j = len(lows) - 1, None
         for s in range(s_max + 1):
-            p = LatticePoint2(r, s)
-            i = locate(fan, p)
-            pairs = unimodular_decomposition(p, fan.chains[i])
-            if pairs is None or any(e not in available for e, _ in pairs):
+            while i and lows[i - 1][0] * s >= lows[i - 1][1] * r:
+                i, j = i - 1, None
+            points, values, unimodular = chains[i]
+            n = len(points)
+            if n > 1:
+                j = n if j is None else j
+                while j and points[j - 1][0] * s >= points[j - 1][1] * r:
+                    j -= 1
+                t = j - 1 if 0 < j < n else 0
+                (hr, hs), (lr, ls) = points[t], points[t + 1]
+                terms = ((values[t + 1], r * hs - s * hr), (values[t], lr * s - ls * r))
+                ok = unimodular[t] or r == s == 0
+            elif n:
+                ((er, es),) = points
+                m = (r + s) // (er + es)
+                terms, ok = ((values[0], m),), (m * er, m * es) == (r, s)
+            else:
+                terms, ok = (), r == s == 0
+            factors = [(v, m) for v, m in terms if m]
+            if not ok or any(m < 0 or v is None for v, m in factors):
                 why = reasons[0]
-            elif product([(available[e], m) for e, m in pairs]) == component(i, p):
+            elif product(factors) == component(i, r, s):
                 continue
             else:
                 why = reasons[1]
             failures += 1
             if first is None:
-                first, reason = p, why
+                first, reason = LatticePoint2(r, s), why
     return VerificationReport(failures == 0, total, failures, first, reason)
 
 
@@ -123,25 +147,25 @@ def verify_generation(
     """Check that every graded component on [0..r_max] x [0..s_max] is a
     product of the supplied generators.
 
-    For each (r, s): locate its cone, write (r, s) along the bracketing
-    unimodular pair of the cone's chain in ``gens.fan.chains``, add the
+    Row by row (see ``_verify_grid``), write each (r, s) along the bracketing
+    unimodular pair of its cone's chain in ``gens.fan.chains``, add the
     exponents of the generators at those degrees (which must be in ``gens``)
-    with their multiplicities, and compare with the componentwise-max oracle.
-    Failures are reported, never raised.
+    with their multiplicities, and compare with the componentwise-max oracle,
+    computed exactly for every cell.  Failures are reported, never raised.
     """
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
         raise ValueError("exponent vectors must have the same length")
     coeffs = {bm.degree: bm.coeff.exponents for bm in gens.generators}
 
-    def product(factors: list[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
-        out = (0,) * len(a)
+    def product(factors: list[tuple[tuple[int, ...], int]]) -> list[int]:
+        out = [0] * len(a)
         for exponents, m in factors:
-            out = tuple(x + m * y for x, y in zip(out, exponents))
+            out = [x + m * y for x, y in zip(out, exponents)]
         return out
 
-    def component(_: int, p: LatticePoint2) -> tuple[int, ...]:
-        return tuple(max(p.r * x, p.s * y) for x, y in zip(a, b))
+    def component(_: int, r: int, s: int) -> list[int]:
+        return [x * r if x * r > y * s else y * s for x, y in zip(a, b)]
 
     reasons = (
         "no decomposition into available generators",

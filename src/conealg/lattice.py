@@ -8,11 +8,10 @@ silent wraparound); every value is immutable and every operation is a pure
 function, safe for concurrent use.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cmp_to_key
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 
 @dataclass(frozen=True, order=True)
@@ -201,24 +200,3 @@ def decompose_over(
         return None
     return {e: m for e, m in zip(order, multiplicities) if m}
 
-
-def unimodular_decomposition(
-    p: LatticePoint2, chain: Sequence[LatticePoint2]
-) -> Optional[list[tuple[LatticePoint2, int]]]:
-    """Write p along the slope-descending Hilbert basis ``chain`` of its cone
-    without search: consecutive elements h (steeper) and l span a subcone of
-    determinant 1, so for the pair bracketing p, p = det(p, h)*l + det(l, p)*h
-    (Cramer); a degenerate cone gives a multiple of its ray.  Returns the
-    (element, positive multiplicity) pairs, or None unless they recombine to p
-    with nonnegative multiplicities, so a wrong chain is caught, not trusted.
-    """
-    if len(chain) < 2:
-        pairs = [(e, (p.r + p.s) // (e.r + e.s)) for e in chain]
-    else:
-        j = bisect_left(chain, True, key=lambda e: det(e, p) >= 0)
-        h, l = chain[j - 1 : j + 1] if 0 < j < len(chain) else chain[:2]
-        pairs = [(l, det(p, h)), (h, det(l, p))]
-    r, s = sum(m * e.r for e, m in pairs), sum(m * e.s for e, m in pairs)
-    if (r, s) != (p.r, p.s) or any(m < 0 for _, m in pairs):
-        return None
-    return [(e, m) for e, m in pairs if m]

@@ -6,12 +6,19 @@ sums over the bounding box, decompositions by exhaustive multiplicity
 enumeration, power containment and minimal generators by raw divisibility,
 subadditivity witnesses by scanning all small pairs, and ideal
 intersections from the pairwise least common multiples of the generators.
+
+The grid verifiers' row walk is checked against a reference driver instead:
+a per-cell loop that finds every cell's cone and chain pair by bisection
+(``locate`` and ``unimodular_decomposition``) and checks every cell's
+recombination.
 """
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 
-from conealg import Cone2, LatticePoint2, Monomial, MonomialIdeal
+from conealg import Cone2, LatticePoint2, Monomial, MonomialIdeal, VerificationReport, det, locate
+from conealg.fan_algebra import _component_on_cone, _product_of_powers
 
 
 def frac_cone_contains(c: Cone2, p: LatticePoint2) -> bool:
@@ -135,3 +142,87 @@ def brute_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
         Monomial(tuple(map(max, g.exponents, h.exponents))) for g in a.gens for h in b.gens
     )
     return MonomialIdeal(a.nvars, brute_minimal_generators(lcms))
+
+
+def unimodular_decomposition(p: LatticePoint2, chain):
+    """Write p along the slope-descending Hilbert basis ``chain`` of its cone
+    without search: consecutive elements h (steeper) and l span a subcone of
+    determinant 1, so for the pair bracketing p, p = det(p, h)*l + det(l, p)*h
+    (Cramer); a degenerate cone gives a multiple of its ray.  Returns the
+    (element, positive multiplicity) pairs, or None unless they recombine to p
+    with nonnegative multiplicities, so a wrong chain is caught, not trusted.
+    """
+    if len(chain) < 2:
+        pairs = [(e, (p.r + p.s) // (e.r + e.s)) for e in chain]
+    else:
+        j = bisect_left(chain, True, key=lambda e: det(e, p) >= 0)
+        h, l = chain[j - 1 : j + 1] if 0 < j < len(chain) else chain[:2]
+        pairs = [(l, det(p, h)), (h, det(l, p))]
+    r, s = sum(m * e.r for e, m in pairs), sum(m * e.s for e, m in pairs)
+    if (r, s) != (p.r, p.s) or any(m < 0 for _, m in pairs):
+        return None
+    return [(e, m) for e, m in pairs if m]
+
+
+def reference_verify_grid(fan, available, r_max, s_max, product, component, reasons):
+    """The verifiers' grid loop, one cell at a time: ``locate`` the cone of
+    p = (r, s), ``unimodular_decomposition`` along its chain, then compare
+    ``product`` of the available factors with ``component(i, p)``."""
+    failures = 0
+    first = reason = None
+    for r in range(r_max + 1):
+        for s in range(s_max + 1):
+            p = LatticePoint2(r, s)
+            i = locate(fan, p)
+            pairs = unimodular_decomposition(p, fan.chains[i])
+            if pairs is None or any(e not in available for e, _ in pairs):
+                why = reasons[0]
+            elif product([(available[e], m) for e, m in pairs]) == component(i, p):
+                continue
+            else:
+                why = reasons[1]
+            failures += 1
+            if first is None:
+                first, reason = p, why
+    total = (r_max + 1) * (s_max + 1)
+    return VerificationReport(failures == 0, total, failures, first, reason)
+
+
+def reference_verify_generation(a, b, gens, r_max, s_max) -> VerificationReport:
+    """``verify_generation`` on ``reference_verify_grid``, with tuple sums
+    and the max oracle written out per cell."""
+    coeffs = {bm.degree: bm.coeff.exponents for bm in gens.generators}
+
+    def product(factors):
+        out = (0,) * len(a)
+        for exponents, m in factors:
+            out = tuple(x + m * y for x, y in zip(out, exponents))
+        return out
+
+    def component(_, p):
+        return tuple(max(p.r * x, p.s * y) for x, y in zip(a, b))
+
+    reasons = (
+        "no decomposition into available generators",
+        "generator product differs from the component generator",
+    )
+    return reference_verify_grid(gens.fan, coeffs, r_max, s_max, product, component, reasons)
+
+
+def reference_verify_fan_algebra(spec, gens, r_max, s_max, max_candidates) -> VerificationReport:
+    """``verify_fan_algebra`` on ``reference_verify_grid``, for a grid that
+    stays within ``max_candidates``."""
+    by_degree = {}
+    for g in gens:
+        by_degree.setdefault(g.degree, set()).add(g.coeff)
+    ideals = {d: MonomialIdeal(len(spec.variables), c) for d, c in by_degree.items()}
+    reasons = (
+        "no decomposition into available generator degrees",
+        "generator component product differs from the graded component",
+    )
+    return reference_verify_grid(
+        spec.fan, ideals, r_max, s_max,
+        lambda factors: _product_of_powers(spec, factors, max_candidates),
+        lambda i, p: _component_on_cone(spec, i, p, max_candidates),
+        reasons,
+    )

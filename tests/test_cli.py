@@ -208,6 +208,14 @@ def test_verify_pass(capsys):
     assert out == "PASS 256/256 components\n"
 
 
+@pytest.mark.parametrize("a,b", [("5,2", "2,3"), ("3,0,0", "1,2,5"), ("1,2,3", "0,0,4")])
+@pytest.mark.parametrize("r_max,s_max,total", [("0", "0", 1), ("0", "9", 10), ("9", "0", 10)])
+def test_verify_zero_width_grid(capsys, a, b, r_max, s_max, total):
+    code, out, _ = run(capsys, "verify", "--a", a, "--b", b, "--rmax", r_max, "--smax", s_max)
+    assert code == 0
+    assert out == f"PASS {total}/{total} components\n"
+
+
 def test_verify_json(capsys):
     code, out, _ = run(
         capsys, "verify", "--a", "1", "--b", "2", "--rmax", "5", "--smax", "5",
@@ -272,6 +280,15 @@ def test_fan_algebra_deeply_nested_spec_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "fan-algebra", "--spec", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: invalid JSON: ") and "Traceback" not in err
+
+
+def test_fan_algebra_integer_past_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPEC_PAYLOAD).replace('"a": [1]', '"a": [' + "7" * 5000 + "]"))
+    code, out, err = run(capsys, "fan-algebra", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: invalid JSON: ") and "digits" in err
+    assert "sys." not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("version", [True, 1.0])

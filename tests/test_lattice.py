@@ -14,8 +14,13 @@ from conealg import (
     hilbert_basis,
     primitive,
 )
-from conealg.lattice import decompose_over, slope_descending, unimodular_decomposition
-from oracles import all_decompositions, brute_irreducibles, frac_cone_contains
+from conealg.lattice import decompose_over, slope_descending
+from oracles import (
+    all_decompositions,
+    brute_irreducibles,
+    frac_cone_contains,
+    unimodular_decomposition,
+)
 
 P = LatticePoint2
 

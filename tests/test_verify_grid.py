@@ -1,0 +1,205 @@
+"""The grid verifiers' row walk against the per-cell reference loop of
+``oracles.reference_verify_grid`` (``locate`` and ``unimodular_decomposition``
+for every cell), on intact and tampered generators and Hilbert chains."""
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+from conealg import (
+    BigradedMonomial,
+    FanAlgebraSpec,
+    FanLinearFunction,
+    GeneratorSet,
+    LatticePoint2,
+    Monomial,
+    MonomialIdeal,
+    build_fan,
+    check_fan_linear,
+    fan_algebra_generators,
+    fan_order,
+    intersection_as_fan_algebra,
+    intersection_generators,
+    locate,
+    maximal_ideal,
+    principal_cap_algebra,
+    verify_fan_algebra,
+    verify_generation,
+)
+from conealg.generators import _verify_grid
+from conealg.monomials import PowerCapError
+from oracles import (
+    reference_verify_fan_algebra,
+    reference_verify_generation,
+    unimodular_decomposition,
+)
+
+P = LatticePoint2
+M = Monomial
+
+TAMPERINGS = ("none", "drop", "square", "interior", "no_low", "reversed")
+
+
+def _tamper_generators(gens, kind, pick):
+    """Drop one generator, or square one generator's coefficient."""
+    gens = list(gens)
+    k = pick % len(gens)
+    if kind == "drop":
+        del gens[k]
+    elif kind == "square":
+        gens[k] = BigradedMonomial(gens[k].coeff ** 2, gens[k].degree)
+    return tuple(gens)
+
+
+def _tamper_chains(chains, kind, pick):
+    """Remove an interior element of one chain (a det-2 step), drop its
+    ray_low, or reverse it; None when no chain is long enough."""
+    needs = {"interior": 3, "no_low": 1, "reversed": 2}[kind]
+    long_enough = [i for i, chain in enumerate(chains) if len(chain) >= needs]
+    if not long_enough:
+        return None
+    i = long_enough[pick % len(long_enough)]
+    chain = chains[i]
+    if kind == "interior":
+        k = 1 + pick % (len(chain) - 2)
+        chain = chain[:k] + chain[k + 1 :]
+    elif kind == "no_low":
+        chain = chain[:-1]
+    else:
+        chain = chain[::-1]
+    return chains[:i] + (chain,) + chains[i + 1 :]
+
+
+def _tampered_fan(fan, kind, pick):
+    """A stand-in for ``fan`` with one chain tampered, or ``fan`` itself."""
+    if kind not in ("interior", "no_low", "reversed"):
+        return fan
+    chains = _tamper_chains(fan.chains, kind, pick)
+    assume(chains is not None)
+    return SimpleNamespace(cones=fan.cones, chains=chains)
+
+
+def _outcome(verify, *args):
+    try:
+        report = verify(*args)
+    except PowerCapError as e:
+        return "PowerCapError", str(e)
+    return report.passed, report.total, report.failures, report.first_failure, report.reason
+
+
+def _pairs(n, top=6):
+    entries = st.lists(st.integers(0, top), min_size=n, max_size=n)
+    return st.tuples(entries, entries).filter(lambda ab: any(ab[0]) and any(ab[1]))
+
+
+pairs = st.one_of(st.integers(1, 6).flatmap(_pairs), _pairs(40))
+grid = st.integers(0, 15)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pairs, grid, grid, st.sampled_from(TAMPERINGS), st.integers(0, 10**6))
+def test_verify_generation_matches_per_cell_reference(ab, r_max, s_max, kind, pick):
+    a, b = ab
+    gs = intersection_generators(a, b)
+    gens = GeneratorSet(
+        _tamper_generators(gs.generators, kind, pick), _tampered_fan(gs.fan, kind, pick)
+    )
+    assert _outcome(verify_generation, a, b, gens, r_max, s_max) == _outcome(
+        reference_verify_generation, a, b, gens, r_max, s_max
+    )
+
+
+def _diagonal_spec():
+    """The maximal ideal of k[x, y] with pieces (1, 2) and (2, 1)."""
+    fan = build_fan((1,), (1,))
+    function = check_fan_linear(fan, ((1, 2), (2, 1)))
+    return FanAlgebraSpec(("x", "y"), (maximal_ideal(2),), (function,))
+
+
+def _two_ideal_spec():
+    """I_1 = (x, y^2) and I_2 = (y) with the max(r*a_k, s*b_k) pieces of
+    a = (2, 1), b = (1, 2)."""
+    fan = build_fan((2, 1), (1, 2))
+    return FanAlgebraSpec(
+        ("x", "y"),
+        (MonomialIdeal(2, [M((1, 0)), M((0, 2))]), MonomialIdeal(2, [M((0, 1))])),
+        (
+            check_fan_linear(fan, ((0, 1), (2, 0), (2, 0))),
+            check_fan_linear(fan, ((0, 2), (0, 2), (1, 0))),
+        ),
+    )
+
+
+NON_PRINCIPAL = (
+    _diagonal_spec,
+    _two_ideal_spec,
+    lambda: principal_cap_algebra(2, M((1, 1))),
+    lambda: principal_cap_algebra(3, M((1, 0, 0))),
+)
+
+
+specs_and_grids = st.one_of(
+    st.tuples(
+        st.integers(1, 3)
+        .flatmap(lambda n: _pairs(n, top=4))
+        .map(lambda ab: intersection_as_fan_algebra(*ab)),
+        grid,
+        grid,
+    ),
+    st.tuples(
+        st.sampled_from(NON_PRINCIPAL).map(lambda make: make()),
+        st.integers(0, 8),
+        st.integers(0, 8),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(specs_and_grids, st.sampled_from(TAMPERINGS), st.integers(0, 10**6))
+def test_verify_fan_algebra_matches_per_cell_reference(spec_and_grid, kind, pick):
+    spec, r_max, s_max = spec_and_grid
+    gens = _tamper_generators(fan_algebra_generators(spec), kind, pick)
+    fan = _tampered_fan(spec.fan, kind, pick)
+    if fan is not spec.fan:
+        spec = FanAlgebraSpec(
+            spec.variables,
+            spec.ideals,
+            tuple(FanLinearFunction(fan, f.pieces) for f in spec.functions),
+        )
+    cap = 100_000
+    assert _outcome(verify_fan_algebra, spec, gens, r_max, s_max, cap) == _outcome(
+        reference_verify_fan_algebra, spec, gens, r_max, s_max, cap
+    )
+
+
+# Pairs whose fans have several cones on the ray (1,0) (entries a_k = 0),
+# several on (0,1) (entries b_k = 0), both, or a repeated interior ray.
+EDGE_PAIRS = [
+    ((5, 2), (2, 3)),
+    ((3, 0, 0), (1, 2, 5)),
+    ((1, 2, 3), (0, 0, 4)),
+    ((4, 0, 2, 0), (0, 3, 0, 1)),
+    ((1, 1, 2), (1, 1, 2)),
+    ((1, 0), (0, 1)),
+]
+
+
+@pytest.mark.parametrize("a,b", EDGE_PAIRS)
+@pytest.mark.parametrize("r_max,s_max", [(0, 0), (0, 9), (9, 0), (9, 9)])
+def test_row_walk_matches_locate_and_bisection(a, b, r_max, s_max):
+    """Every cell, in order, gets the cone ``locate`` gives and the factors
+    ``unimodular_decomposition`` gives along that cone's chain."""
+    fan = build_fan(*fan_order(a, b)[:2])
+    available = {e: e for chain in fan.chains for e in chain}
+    visits = []
+
+    def component(i, r, s):
+        visits.append((i, r, s))
+        return sorted(unimodular_decomposition(P(r, s), fan.chains[i]))
+
+    report = _verify_grid(fan, available, r_max, s_max, sorted, component, ("", ""))
+    assert report.passed and report.total == (r_max + 1) * (s_max + 1)
+    assert visits == [
+        (locate(fan, P(r, s)), r, s) for r in range(r_max + 1) for s in range(s_max + 1)
+    ]
