@@ -65,8 +65,8 @@ def _csv_point(text: str) -> LatticePoint2:
         raise argparse.ArgumentTypeError(f"expected r,s with two integers, got {text!r}")
     try:
         return LatticePoint2(int(parts[0]), int(parts[1]))
-    except (ValueError, TypeError) as e:
-        raise argparse.ArgumentTypeError(str(e))
+    except (ValueError, TypeError) as e:  # drop the digit limit's hint at a Python call
+        raise argparse.ArgumentTypeError(str(e).partition("; use sys.")[0])
 
 
 def _csv_names(text: str) -> tuple[str, ...]:

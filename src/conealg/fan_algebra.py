@@ -178,9 +178,9 @@ class FanAlgebraSpec:
 def _product_of_powers(
     spec: FanAlgebraSpec, factors: Iterable[tuple[MonomialIdeal, int]], max_candidates: int
 ) -> MonomialIdeal:
-    """The product of the spec's powers of the (ideal, m) factors; (1) if
-    there are none."""
-    powers = [spec._power(ideal, m, max_candidates) for ideal, m in factors]
+    """The product of the spec's powers of the (ideal, m) factors with m > 0;
+    (1) if there are none."""
+    powers = [spec._power(ideal, m, max_candidates) for ideal, m in factors if m]
     if not powers:
         nvars = len(spec.variables)
         return MonomialIdeal(nvars, [unit_monomial(nvars)])
@@ -288,8 +288,8 @@ def verify_fan_algebra(
     )
     return _verify_grid(
         spec.fan, ideals, r_max, s_max,
-        lambda factors: _product_of_powers(spec, factors, max_candidates),
-        lambda i, r, s: _component_on_cone(spec, i, LatticePoint2(r, s), max_candidates),
+        lambda low, m, high, n: _product_of_powers(spec, ((low, m), (high, n)), max_candidates),
+        lambda r: lambda i, s: _component_on_cone(spec, i, LatticePoint2(r, s), max_candidates),
         reasons,
         max_candidates,
     )

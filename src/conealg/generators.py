@@ -11,6 +11,7 @@ reconstructs every graded component from the generators.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .fans import Fan, build_fan, fan_order
@@ -73,22 +74,23 @@ def _verify_grid(
     available: Mapping[LatticePoint2, object],
     r_max: int,
     s_max: int,
-    product: Callable[[list], object],
-    component: Callable[[int, int, int], object],
+    product: Callable[[object, int, object, int], object],
+    row: Callable[[int], Callable[[int, int], object]],
     reasons: tuple[str, str],
     max_candidates: Optional[int] = None,
 ) -> VerificationReport:
     """The grid loop of both verifiers.  Each p = (r, s) is written along the
     bracketing pair (h, l) of ``fan.chains[i]``, the Hilbert chain of its cone
-    i, as det(p, h)*l + det(l, p)*h = det(l, h)*p, so det(l, h) = 1 is
-    checked once per pair; a one-element chain gives a multiple of it.  If
-    that fails, a multiplicity is negative or a degree used is not in
-    ``available``, the cell fails with ``reasons[0]``; otherwise ``product``
-    of the (available[degree], multiplicity) factors must equal
-    ``component(i, r, s)``, or it fails with ``reasons[1]``.  Along a row s
-    grows, so det(ray_low, p) and det(e, p) never decrease: two cursors find
-    the cone (as ``locate`` does) and the pair, moving only towards index 0.
-    A grid of more cells than the candidate cap raises PowerCapError first."""
+    i, as alpha*l + beta*h = det(l, h)*p, alpha = det(p, h), beta = det(l, p),
+    so det(l, h) = 1 is checked once per pair; a one-element chain gives a
+    multiple of it.  If that fails, a multiplicity is negative or a degree
+    used is not in ``available``, the cell fails with ``reasons[0]``; else
+    ``product(available[l], alpha, available[h], beta)`` (None if absent with
+    multiplicity 0) must equal ``component(i, s)``, with ``component = row(r)``
+    per row, or it fails with ``reasons[1]``.  Along a row s grows, so
+    det(ray_low, p) and det(e, p) never decrease: two cursors find the cone
+    (as ``locate`` does) and the pair, moving only towards index 0.  A grid
+    of more cells than the candidate cap raises PowerCapError first."""
     if r_max < 0 or s_max < 0:
         raise ValueError("grid bounds must be nonnegative")
     total = (r_max + 1) * (s_max + 1)
@@ -104,6 +106,7 @@ def _verify_grid(
     failures = 0
     first = reason = None
     for r in range(r_max + 1):
+        component = row(r)
         i, j = len(lows) - 1, None
         for s in range(s_max + 1):
             while i and lows[i - 1][0] * s >= lows[i - 1][1] * r:
@@ -116,18 +119,18 @@ def _verify_grid(
                     j -= 1
                 t = j - 1 if 0 < j < n else 0
                 (hr, hs), (lr, ls) = points[t], points[t + 1]
-                terms = ((values[t + 1], r * hs - s * hr), (values[t], lr * s - ls * r))
-                ok = unimodular[t] or r == s == 0
-            elif n:
+                alpha, beta = r * hs - s * hr, lr * s - ls * r
+                low, high = values[t + 1], values[t]
+                ok = (unimodular[t] or r == s == 0) and alpha >= 0 and beta >= 0
+            elif n:  # alpha >= 0, as chain elements lie in N^2
                 ((er, es),) = points
-                m = (r + s) // (er + es)
-                terms, ok = ((values[0], m),), (m * er, m * es) == (r, s)
+                alpha, beta, low, high = (r + s) // (er + es), 0, values[0], None
+                ok = alpha * er == r and alpha * es == s
             else:
-                terms, ok = (), r == s == 0
-            factors = [(v, m) for v, m in terms if m]
-            if not ok or any(m < 0 or v is None for v, m in factors):
+                alpha, beta, low, high, ok = 0, 0, None, None, r == s == 0
+            if not ok or (alpha and low is None) or (beta and high is None):
                 why = reasons[0]
-            elif product(factors) == component(i, r, s):
+            elif product(low, alpha, high, beta) == component(i, s):
                 continue
             else:
                 why = reasons[1]
@@ -152,26 +155,59 @@ def verify_generation(
     exponents of the generators at those degrees (which must be in ``gens``)
     with their multiplicities, and compare with the componentwise-max oracle,
     computed exactly for every cell.  Failures are reported, never raised.
+
+    Each vector v is packed as the integer sum of v_k << (w*k), w a whole
+    number of bytes, and a cell compares two integers.  No field carries: an
+    oracle field is at most max(r_max*max a, s_max*max b), a product field
+    (negative multiplicities fail first) at most (r_max + s_max)*(largest
+    chain coordinate)*(largest exponent).  Row r's oracle starts as
+    r*pack(a); a pointer over the variables by ascending a_k/b_k
+    (``fan_order`` reversed) moves each to s*b_k once s*b_k >= r*a_k.
+    Coefficients of another length raise ValueError.
     """
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
         raise ValueError("exponent vectors must have the same length")
     coeffs = {bm.degree: bm.coeff.exponents for bm in gens.generators}
+    for degree, v in coeffs.items():
+        if len(v) != len(a):
+            raise ValueError(f"generator at degree {degree} has {len(v)} exponents, expected {len(a)}")
+    reach = max((max(e.r, e.s) for chain in gens.fan.chains for e in chain), default=0)
+    largest = max(map(max, coeffs.values()), default=0)
+    bound = max(r_max * max(a), s_max * max(b), largest, (r_max + s_max) * reach * largest)
+    size = (bound.bit_length() + 7) // 8  # bytes per field
 
-    def product(factors: list[tuple[tuple[int, ...], int]]) -> list[int]:
-        out = [0] * len(a)
-        for exponents, m in factors:
-            out = [x + m * y for x, y in zip(out, exponents)]
-        return out
+    def pack(v: Sequence[int]) -> int:
+        fields = map(int.to_bytes, v, repeat(size), repeat("little"))
+        return int.from_bytes(b"".join(fields), "little")
 
-    def component(_: int, r: int, s: int) -> list[int]:
-        return [x * r if x * r > y * s else y * s for x, y in zip(a, b)]
+    packed = {degree: pack(v) for degree, v in coeffs.items()}
+    columns = []  # [a_k, b_k, a and b packed on the columns of ratio a_k/b_k], ascending
+    for k in fan_order(a, b)[2][::-1]:
+        if not columns or columns[-1][0] * b[k] != a[k] * columns[-1][1]:
+            columns.append([a[k], b[k], 0, 0])
+        columns[-1][2] += a[k] << 8 * size * k
+        columns[-1][3] += b[k] << 8 * size * k
+    packed_a = sum(column[2] for column in columns)  # a's fields may pass w when r_max = 0
+
+    def product(low: Optional[int], alpha: int, high: Optional[int], beta: int) -> int:
+        return (alpha and alpha * low) + (beta and beta * high)
+
+    def row(r: int) -> Callable[[int, int], int]:
+        below, above, k, oracles = r * packed_a, 0, 0, []  # fields r*a_k; b_k once passed
+        for s in range(s_max + 1):
+            while k < len(columns) and s * columns[k][1] >= r * columns[k][0]:
+                below -= r * columns[k][2]
+                above += columns[k][3]
+                k += 1
+            oracles.append(below + s * above)
+        return lambda _, s: oracles[s]
 
     reasons = (
         "no decomposition into available generators",
         "generator product differs from the component generator",
     )
-    return _verify_grid(gens.fan, coeffs, r_max, s_max, product, component, reasons)
+    return _verify_grid(gens.fan, packed, r_max, s_max, product, row, reasons)
 
 
 class AsymptoticLimits(NamedTuple):

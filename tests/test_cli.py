@@ -145,6 +145,15 @@ def test_hilbert_basis_requires_two_rays(capsys):
     assert code == 2 and "exactly two" in err
 
 
+def test_hilbert_basis_ray_past_digit_limit_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["hilbert-basis", "--ray", "7" * 5000 + ",1", "--ray", "0,1"])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert "argument --ray: " in err and "5000 digits" in err
+    assert "sys." not in err and "Traceback" not in err
+
+
 def test_fan_text(capsys):
     code, out, _ = run(capsys, "fan", "--a", "5,2", "--b", "2,3")
     assert code == 0

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -153,6 +154,22 @@ def test_verify_generation_detects_missing_generator():
     assert not report.passed
     assert report.first_failure == P(0, 1)
     assert "FAIL at (r,s)=(0,1)" in report.summary()
+
+
+@pytest.mark.parametrize("pad", [(1,), (0,), None], ids=["extra-1", "extra-0", "short"])
+def test_verify_generation_rejects_coefficients_of_another_arity(pad):
+    """Coefficients of another arity are an error: cut to len(a), the padded
+    sets would pass all 25 cells."""
+    gs = intersection_generators((5, 2), (2, 3))
+    if pad is None:
+        first, *rest = gs.generators
+        gens = (BigradedMonomial(M(first.coeff.exponents[:1]), first.degree), *rest)
+    else:
+        gens = tuple(BigradedMonomial(M(g.coeff.exponents + pad), g.degree) for g in gs.generators)
+    arity = len(gens[0].coeff.exponents)
+    message = re.escape(f"degree {gens[0].degree} has {arity} exponents, expected 2")
+    with pytest.raises(ValueError, match=message):
+        verify_generation((5, 2), (2, 3), GeneratorSet(gens, gs.fan), 4, 4)
 
 
 def test_verify_generation_trivial_grid():

@@ -5,7 +5,7 @@ for every cell), on intact and tampered generators and Hilbert chains."""
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from conealg import (
     BigradedMonomial,
@@ -110,6 +110,106 @@ def test_verify_generation_matches_per_cell_reference(ab, r_max, s_max, kind, pi
     )
 
 
+@st.composite
+def wide_pairs(draw):
+    """1-200 columns (g*x, g*y) with x, y <= 4, so every cone keeps a small
+    determinant while entries reach 10**6, and in one column pass 2**64;
+    columns with b_k = 0, a_k = 0 or both zero occur."""
+    n = draw(st.integers(1, 200))
+    shape = st.tuples(st.integers(0, 4), st.integers(0, 4))
+    shapes = draw(st.lists(shape, min_size=n, max_size=n))
+    scales = draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+    huge = draw(st.integers(0, n))  # the column scaled past 2**64, or none
+    if huge < n:
+        scales[huge] = 2**64 + scales[huge]
+    a = [g * x for g, (x, _) in zip(scales, shapes)]
+    b = [g * y for g, (_, y) in zip(scales, shapes)]
+    assume(any(a) and any(b))
+    return a, b
+
+
+def _field_width(a, b, gs, r_max, s_max):
+    """The packed field width ``verify_generation`` uses: whole bytes above
+    the oracle, generator and product bounds of its docstring."""
+    reach = max(max(e.r, e.s) for chain in gs.fan.chains for e in chain)
+    largest = max(x for g in gs.generators for x in g.coeff.exponents)
+    bound = max(r_max * max(a), s_max * max(b), largest, (r_max + s_max) * reach * largest)
+    return 8 * ((bound.bit_length() + 7) // 8)
+
+
+def _carry(gens, width, pick):
+    """Raise entry k of one coefficient by 2**width and lower entry k + 1 by
+    1: packed with fields of ``width`` bits, the same integer as before."""
+    spots = [
+        (g, k) for g, bm in enumerate(gens) for k, y in enumerate(bm.coeff.exponents[1:]) if y
+    ]
+    assume(spots)
+    g, k = spots[pick % len(spots)]
+    exponents = list(gens[g].coeff.exponents)
+    exponents[k] += 2**width
+    exponents[k + 1] -= 1
+    return gens[:g] + (BigradedMonomial(M(tuple(exponents)), gens[g].degree),) + gens[g + 1 :]
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    wide_pairs(),
+    st.integers(0, 12),
+    st.integers(0, 12),
+    st.sampled_from(TAMPERINGS + ("carry",)),
+    st.integers(0, 10**6),
+)
+@example(((2, 1), (1, 2)), 4, 4, "carry", 0)
+@example(((3, 0, 1), (1, 2, 0)), 0, 9, "carry", 0)
+@example(((6, 0, 1), (1, 2, 0)), 7, 0, "carry", 13)
+def test_packed_verifier_matches_reference_on_wide_and_large_pairs(ab, r_max, s_max, kind, pick):
+    a, b = ab
+    gs = intersection_generators(a, b)
+    if kind == "carry":
+        width = _field_width(a, b, gs, r_max, s_max)
+        gens = GeneratorSet(_carry(gs.generators, width, pick), gs.fan)
+    else:
+        gens = GeneratorSet(
+            _tamper_generators(gs.generators, kind, pick), _tampered_fan(gs.fan, kind, pick)
+        )
+    assert _outcome(verify_generation, a, b, gens, r_max, s_max) == _outcome(
+        reference_verify_generation, a, b, gens, r_max, s_max
+    )
+
+
+def test_product_fields_past_the_generator_width_do_not_carry():
+    """At (5, 1) the product 4*(65, 1) + (1, 0) = (261, 4) differs from the
+    oracle (5, 5) although both are 5 + 5*256 in 8-bit fields, which would
+    hold every generator and oracle entry; only the product bound, 6*65,
+    asks for more."""
+    a, b = (1, 1), (1, 1)
+    gs = intersection_generators(a, b)
+    swap = {P(1, 0): (65, 1), P(1, 1): (1, 0)}
+    gens = GeneratorSet(
+        tuple(BigradedMonomial(M(swap.get(g.degree, g.coeff.exponents)), g.degree)
+              for g in gs.generators),
+        gs.fan,
+    )
+    outcome = _outcome(verify_generation, a, b, gens, 5, 1)
+    assert outcome == _outcome(reference_verify_generation, a, b, gens, 5, 1)
+    assert outcome[2] == 10  # every cell but (0, 0) and (0, 1)
+
+
+def test_row_zero_grid_packs_no_entry_of_a():
+    """On a grid with r_max = 0 only the generator at (0, 1), here b, is
+    used, so the field width need not hold a = (1000, 1)."""
+    a, b = (1000, 1), (0, 1)
+    gs = intersection_generators(a, b)
+    gens = GeneratorSet(tuple(g for g in gs.generators if g.degree.r == 0), gs.fan)
+    outcome = _outcome(verify_generation, a, b, gens, 0, 3)
+    assert outcome == _outcome(reference_verify_generation, a, b, gens, 0, 3)
+    assert outcome[0] is True
+
+
 def _diagonal_spec():
     """The maximal ideal of k[x, y] with pieces (1, 2) and (2, 1)."""
     fan = build_fan((1,), (1,))
@@ -194,11 +294,17 @@ def test_row_walk_matches_locate_and_bisection(a, b, r_max, s_max):
     available = {e: e for chain in fan.chains for e in chain}
     visits = []
 
-    def component(i, r, s):
-        visits.append((i, r, s))
-        return sorted(unimodular_decomposition(P(r, s), fan.chains[i]))
+    def product(low, alpha, high, beta):
+        return sorted((e, m) for e, m in ((low, alpha), (high, beta)) if m)
 
-    report = _verify_grid(fan, available, r_max, s_max, sorted, component, ("", ""))
+    def row(r):
+        def component(i, s):
+            visits.append((i, r, s))
+            return sorted(unimodular_decomposition(P(r, s), fan.chains[i]))
+
+        return component
+
+    report = _verify_grid(fan, available, r_max, s_max, product, row, ("", ""))
     assert report.passed and report.total == (r_max + 1) * (s_max + 1)
     assert visits == [
         (locate(fan, P(r, s)), r, s) for r in range(r_max + 1) for s in range(s_max + 1)

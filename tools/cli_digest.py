@@ -26,7 +26,17 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 WORKLOADS = ("generate-thin", "verify-grid", "fan-algebra")
+# The verify argvs cover the packed verifier's edge cases: a 20-digit
+# exponent, zero columns (b_k = 0, a_k = 0, and both in WIDE), 200 variables
+# and a grid with no r > 0.
+WIDE_A = ",".join(str(k % 7) for k in range(200))
+WIDE_B = ",".join(str(3 * k % 5) for k in range(200))
 EXTRAS = [
+    ["verify", "--a", "12345678901234567890,4", "--b", "12345678901234567890,1",
+     "--rmax", "8", "--smax", "8"],
+    ["verify", "--a", "5,0,3", "--b", "2,4,0", "--rmax", "10", "--smax", "10"],
+    ["verify", "--a", WIDE_A, "--b", WIDE_B, "--rmax", "12", "--smax", "12"],
+    ["verify", "--a", "5,2", "--b", "2,3", "--rmax", "0", "--smax", "9"],
     ["fan", "--a", "5,2", "--b", "2,3", "--format", "svg"],
     ["fan", "--a", "1,1", "--b", "1,1", "--format", "svg"],
     ["fan", "--a", "7,5,3,1", "--b", "1,2,4,6", "--format", "svg"],
