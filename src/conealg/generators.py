@@ -166,8 +166,7 @@ def verify_generation(
     Coefficients of another length raise ValueError.
     """
     a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        raise ValueError("exponent vectors must have the same length")
+    order = fan_order(a, b)[2][::-1]  # checks a and b; ratio a_k/b_k ascending
     coeffs = {bm.degree: bm.coeff.exponents for bm in gens.generators}
     for degree, v in coeffs.items():
         if len(v) != len(a):
@@ -183,7 +182,7 @@ def verify_generation(
 
     packed = {degree: pack(v) for degree, v in coeffs.items()}
     columns = []  # [a_k, b_k, a and b packed on the columns of ratio a_k/b_k], ascending
-    for k in fan_order(a, b)[2][::-1]:
+    for k in order:
         if not columns or columns[-1][0] * b[k] != a[k] * columns[-1][1]:
             columns.append([a[k], b[k], 0, 0])
         columns[-1][2] += a[k] << 8 * size * k
