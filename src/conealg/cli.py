@@ -24,7 +24,7 @@ from .fan_algebra import (
     load_fan_algebra_spec,
     verify_fan_algebra,
 )
-from .fans import build_fan, fan_order
+from .fans import build_fan
 from .generators import (
     VerificationReport,
     asymptotic_limits,
@@ -55,8 +55,11 @@ EXIT_VERIFY = 4
 def _csv_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    except ValueError as e:
+        limit, hint, _ = str(e).partition("; use sys.")  # only past the digit limit
+        raise argparse.ArgumentTypeError(
+            limit if hint else f"expected comma-separated integers, got {text!r}"
+        )
 
 
 def _csv_point(text: str) -> LatticePoint2:
@@ -227,13 +230,8 @@ def _cmd_hilbert_basis(args) -> int:
     return EXIT_OK
 
 
-def _ordered_fan(args):
-    a2, b2, _ = fan_order(args.a, args.b)
-    return build_fan(a2, b2)
-
-
 def _cmd_fan(args) -> int:
-    fan = _ordered_fan(args)
+    fan = build_fan(args.a, args.b)
     if args.format == "svg":
         print(render_fan_svg(fan), end="")
     elif args.format == "json":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from typing import Callable, Iterable, Optional, Sequence
 
-from .fans import Fan, build_fan, fan_order, locate
+from .fans import Fan, build_fan, locate
 from .generators import VerificationReport, _verify_grid
 from .lattice import LatticePoint2, det
 from .monomials import (
@@ -209,19 +209,15 @@ def fan_algebra_generators(
     """Finite generating set: for every Hilbert basis element (r, s) of every
     cone, one generator per minimal generator of the (r, s) component.
 
-    Ordered by cone index, then descending slope of the degree, then
-    descending exponent order of the coefficient.  A degree shared by several
-    cones is taken on the first of them: face agreement gives every cone that
-    holds it the same component.
+    Ordered as ``spec.fan.degrees``: by cone index, then descending slope of
+    the degree, then descending exponent order of the coefficient.  A degree
+    shared by several cones is taken on the first of them, as ``degrees``
+    maps it: face agreement gives every cone that holds it the same component.
     """
     max_candidates = _candidate_cap(max_candidates)
-    first_cone = {}
-    for i, chain in enumerate(spec.fan.chains):
-        for p in chain:
-            first_cone.setdefault(p, i)
     return tuple(
         BigradedMonomial(mono, p)
-        for p, i in first_cone.items()
+        for p, i in spec.fan.degrees.items()
         for mono in _component_on_cone(spec, i, p, max_candidates).sorted_gens()
     )
 
@@ -234,12 +230,11 @@ def intersection_as_fan_algebra(
     i of the fan of (a, b) is r*a_k left of the wall (fan position before i)
     and s*b_k from the wall on."""
     a, b = tuple(a), tuple(b)
-    a2, b2, perm = fan_order(a, b)
-    fan = build_fan(a2, b2)
+    fan = build_fan(a, b)
     n = len(a)
     if variables is None:
         variables = default_variables(n)
-    position = {original: j for j, original in enumerate(perm)}
+    position = {original: j for j, original in enumerate(fan.order)}
     ncones = len(fan.cones)
     ideals = []
     functions = []
@@ -247,13 +242,8 @@ def intersection_as_fan_algebra(
         exponents = [0] * n
         exponents[k] = 1
         ideals.append(MonomialIdeal(n, [Monomial(tuple(exponents))]))
-        if a[k] == 0 and b[k] == 0:
-            pieces = ((0, 0),) * ncones
-        else:
-            j = position[k]
-            pieces = tuple(
-                (a[k], 0) if j < i else (0, b[k]) for i in range(ncones)
-            )
+        j = position.get(k, 0)  # a column left out of the fan has a_k = b_k = 0
+        pieces = tuple((a[k], 0) if j < i else (0, b[k]) for i in range(ncones))
         functions.append(check_fan_linear(fan, pieces))
     return FanAlgebraSpec(tuple(variables), tuple(ideals), tuple(functions))
 
@@ -366,7 +356,8 @@ def load_fan_algebra_spec(text: str) -> FanAlgebraSpec:
         {"variables": ["x", "y"], "a": [...], "b": [...],
          "ideals": [["x"], ["y"]], "pieces": [[[a, b], ...per cone], ...per function]}
 
-    a and b must already be fan ordered (pieces are positional per cone).
+    a and b must be as ``build_fan`` would leave them, fan ordered with no
+    column where both are zero, because pieces are positional per cone.
     Raises SpecFormatError with the offending field, or FanLinearityError if a
     piece list is not fan-linear.
     """
@@ -407,6 +398,13 @@ def load_fan_algebra_spec(text: str) -> FanAlgebraSpec:
         fan = build_fan(a, b)
     except ValueError as e:
         raise SpecFormatError(f"a/b: {e}") from e
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x == y == 0:
+            raise SpecFormatError(f"a/b: a and b are both zero at index {i}")
+    if fan.order != tuple(range(len(a))):
+        raise SpecFormatError(
+            "a/b: a and b are not fan ordered (ratios a_i/b_i must be non-increasing)"
+        )
 
     raw_ideals = _expect_list("ideals", data["ideals"])
     if not raw_ideals:

@@ -1,9 +1,10 @@
 """Fans of cones in the first quadrant built from two exponent vectors.
 
 Two exponent vectors a, b of equal length are "fan ordered" when the ratios
-a_i/b_i are non-increasing (with x/0 = +infinity).  The fan of such a pair is
-the chain of cones spanned by consecutive rays (b_i, a_i), bracketed by the
-sentinel rays (0,1) and (1,0); together they cover the first quadrant.
+a_i/b_i are non-increasing (with x/0 = +infinity).  ``build_fan`` fan orders
+any valid pair and builds the chain of cones spanned by consecutive rays
+(b_i, a_i), bracketed by the sentinel rays (0,1) and (1,0); together they
+cover the first quadrant.
 """
 
 from bisect import bisect_left
@@ -24,10 +25,6 @@ def _check_exponent_vector(name: str, v: tuple[int, ...]) -> None:
         raise ValueError(f"{name} has no positive entry (the ideal would be the unit ideal)")
 
 
-def _is_fan_ordered(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(a[i] * b[i + 1] >= a[i + 1] * b[i] for i in range(len(a) - 1))
-
-
 def fan_order(
     a: Sequence[int], b: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -43,9 +40,7 @@ def fan_order(
         raise ValueError("exponent vectors must have the same length")
     _check_exponent_vector("a", a)
     _check_exponent_vector("b", b)
-    keep = [i for i in range(len(a)) if a[i] or b[i]]
-    if not keep:
-        raise ValueError("both ideals are the unit ideal")
+    keep = [i for i in range(len(a)) if a[i] or b[i]]  # nonempty: a has a positive entry
 
     def cmp(i: int, j: int) -> int:
         # a_i/b_i > a_j/b_j iff a_i*b_j > a_j*b_i (all entries nonnegative)
@@ -60,13 +55,15 @@ def fan_order(
 
 @dataclass(frozen=True)
 class Fan:
-    """The n+1 cones C_0..C_n over consecutive rays (b_i, a_i) of a fan
-    ordered pair, with sentinels so that C_0 contains the s-axis and C_n the
-    r-axis.  Consecutive cones share exactly one ray; cones whose rays
-    coincide after primitivization are retained but degenerate."""
+    """The n+1 cones C_0..C_n over consecutive rays (b_i, a_i) of the fan
+    ordered columns a, b (``order[j]`` is the original index at position j),
+    with sentinels so that C_0 contains the s-axis and C_n the r-axis.
+    Consecutive cones share exactly one ray; cones whose rays coincide after
+    primitivization are retained but degenerate."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
+    order: tuple[int, ...]
     cones: tuple[Cone2, ...]
 
     @cached_property
@@ -74,26 +71,26 @@ class Fan:
         """The slope-descending Hilbert basis of each cone, built on first use."""
         return tuple(hilbert_basis(c).elements for c in self.cones)
 
+    @cached_property
+    def degrees(self) -> dict[LatticePoint2, int]:
+        """Distinct chain elements, by cone then chain order, to their first cone."""
+        first: dict[LatticePoint2, int] = {}
+        for i, chain in enumerate(self.chains):
+            for p in chain:
+                first.setdefault(p, i)
+        return first
+
 
 def build_fan(a: Sequence[int], b: Sequence[int]) -> Fan:
-    """Build the fan of a fan-ordered pair (a, b)."""
-    a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        raise ValueError("exponent vectors must have the same length")
-    _check_exponent_vector("a", a)
-    _check_exponent_vector("b", b)
-    for i in range(len(a)):
-        if a[i] == 0 and b[i] == 0:
-            raise ValueError(f"a and b are both zero at index {i}")
-    if not _is_fan_ordered(a, b):
-        raise ValueError("a and b are not fan ordered (ratios a_i/b_i must be non-increasing)")
+    """Build the fan of any valid pair (a, b), as ``fan_order`` sorts it."""
+    a, b, order = fan_order(a, b)
     rays = [LatticePoint2(0, 1)]
     rays.extend(primitive(LatticePoint2(b[i], a[i])) for i in range(len(a)))
     rays.append(LatticePoint2(1, 0))
     cones = tuple(
         Cone2(ray_low=rays[i + 1], ray_high=rays[i]) for i in range(len(rays) - 1)
     )
-    return Fan(a, b, cones)
+    return Fan(a, b, order, cones)
 
 
 def locate(fan: Fan, p: LatticePoint2) -> int:

@@ -23,10 +23,10 @@ from .monomials import BigradedMonomial, PowerCapError, _candidate_cap, principa
 class GeneratorSet:
     """A deduplicated generating set and the fan it was read from.
 
-    ``generators`` holds one generator per distinct degree of the Hilbert
-    chains in ``fan.chains``, ordered by cone index, then by descending slope
-    of the (u, v)-degree; a degree shared by several cones keeps its first
-    occurrence.
+    ``generators`` holds one generator per degree of ``fan.degrees``, the
+    distinct elements of the Hilbert chains in ``fan.chains``: ordered by
+    cone index, then by descending slope of the (u, v)-degree, a degree
+    shared by several cones keeping its first occurrence.
     """
 
     generators: tuple[BigradedMonomial, ...]
@@ -40,12 +40,9 @@ def intersection_generators(a: Sequence[int], b: Sequence[int]) -> GeneratorSet:
     the original variable order, so no output remapping is needed.
     """
     a, b = tuple(a), tuple(b)
-    a2, b2, _ = fan_order(a, b)
-    fan = build_fan(a2, b2)
-    degrees = dict.fromkeys(p for chain in fan.chains for p in chain)
-    return GeneratorSet(
-        tuple(BigradedMonomial(principal_intersection(a, b, p.r, p.s), p) for p in degrees), fan
-    )
+    fan = build_fan(a, b)
+    gens = (BigradedMonomial(principal_intersection(a, b, p.r, p.s), p) for p in fan.degrees)
+    return GeneratorSet(tuple(gens), fan)
 
 
 @dataclass(frozen=True)

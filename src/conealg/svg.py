@@ -15,8 +15,7 @@ _POINT_FILL = "#b91c1c"
 
 def render_fan_svg(fan: Fan) -> str:
     # every ray ends a chain, so the distinct chain points bound the picture
-    points = dict.fromkeys(p for chain in fan.chains for p in chain)
-    extent = max(6, *(max(p.r, p.s) for p in points))
+    extent = max(6, *(max(p.r, p.s) for p in fan.degrees))
     size = extent * _SCALE + 2 * _MARGIN
 
     def x(v: int) -> int:
@@ -70,7 +69,7 @@ def render_fan_svg(fan: Fan) -> str:
             f'<text x="{mx}" y="{my}" font-family="monospace" font-size="14"'
             f' fill="{_RAY_STROKE}">C{i}</text>'
         )
-    for p in points:
+    for p in fan.degrees:
         lines.append(f'<circle cx="{x(p.r)}" cy="{y(p.s)}" r="4" fill="{_POINT_FILL}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

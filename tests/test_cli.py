@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -154,6 +155,28 @@ def test_hilbert_basis_ray_past_digit_limit_exits_2(capsys):
     assert "sys." not in err and "Traceback" not in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_vector_entry_past_digit_limit_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--a", "7" * 5000 + ",1", "--b", "1,1", "--rmax", "2", "--smax", "2"])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert err.endswith(
+        "argument --a: Exceeds the limit (4300 digits) for integer string conversion:"
+        " value has 5000 digits\n"
+    )
+    assert "777" not in err and "sys." not in err
+
+
+def test_vector_entry_not_an_integer_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--a", "x,1", "--b", "1,1", "--rmax", "2", "--smax", "2"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "argument --a: expected comma-separated integers, got 'x,1'\n"
+    )
+
+
 def test_fan_text(capsys):
     code, out, _ = run(capsys, "fan", "--a", "5,2", "--b", "2,3")
     assert code == 0
@@ -281,6 +304,14 @@ def test_fan_algebra_schema_error(tmp_path, capsys):
     code, _, err = run(capsys, "fan-algebra", "--spec", str(path))
     assert code == 2
     assert "a[0]" in err
+
+
+def test_fan_algebra_both_zero_column_exits_2(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(SPEC_PAYLOAD, a=[1, 0], b=[1, 0])))
+    code, out, err = run(capsys, "fan-algebra", "--spec", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: a/b: a and b are both zero at index 1\n"
 
 
 def test_fan_algebra_deeply_nested_spec_exits_2(tmp_path, capsys):

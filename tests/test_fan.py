@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conealg import (
     LatticePoint2,
@@ -84,20 +85,37 @@ def test_build_fan_middle_rays():
     ]
 
 
-def test_build_fan_rejects_unordered():
-    with pytest.raises(ValueError, match="fan ordered"):
-        build_fan((2, 5), (3, 2))
+def test_build_fan_sorts_unordered_pair():
+    fan = build_fan((2, 5), (3, 2))
+    assert (fan.a, fan.b, fan.order) == ((5, 2), (2, 3), (1, 0))
 
 
-def test_build_fan_rejects_dead_index():
-    with pytest.raises(ValueError, match="both zero"):
-        build_fan((1, 0), (1, 0))
+def test_build_fan_drops_dead_index():
+    fan = build_fan((1, 0), (1, 0))
+    assert (fan.a, fan.order) == ((1,), (0,))
+
+
+# small entries give zero, both-zero and tied columns
+COLUMNS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=6)
+
+
+@given(COLUMNS.filter(lambda cs: any(x for x, _ in cs) and any(y for _, y in cs)))
+def test_build_fan_is_fan_order_then_cones(columns):
+    a, b = (tuple(v) for v in zip(*columns))
+    fan = build_fan(a, b)
+    assert (fan.a, fan.b, fan.order) == fan_order(a, b)
+    assert fan.cones == build_fan(fan.a, fan.b).cones
+    first = {}
+    for i, chain in enumerate(fan.chains):
+        for p in chain:
+            if p not in first:
+                first[p] = i
+    assert list(fan.degrees.items()) == list(first.items())
 
 
 def test_degenerate_cone_from_vanishing_b_entry():
     # ratio +infinity merges the first interior ray with the (0,1) sentinel
-    a2, b2, _ = fan_order((2, 3), (3, 0))
-    fan = build_fan(a2, b2)
+    fan = build_fan((2, 3), (3, 0))
     assert fan.cones[0].is_degenerate
     assert hilbert_basis(fan.cones[0]).elements == (P(0, 1),)
 
@@ -122,8 +140,7 @@ def test_sentinels():
     rng = random.Random(23)
     for _ in range(20):
         a, b = random_exponent_pair(rng)
-        a2, b2, _ = fan_order(a, b)
-        fan = build_fan(a2, b2)
+        fan = build_fan(a, b)
         assert fan.cones[0].ray_high == P(0, 1)
         assert fan.cones[-1].ray_low == P(1, 0)
         for k in range(6):
@@ -135,8 +152,7 @@ def test_monotone_slopes_and_shared_rays():
     rng = random.Random(29)
     for _ in range(20):
         a, b = random_exponent_pair(rng)
-        a2, b2, _ = fan_order(a, b)
-        fan = build_fan(a2, b2)
+        fan = build_fan(a, b)
         for left, right in zip(fan.cones, fan.cones[1:]):
             assert left.ray_low == right.ray_high
             # slope comparison by cross-multiplication
@@ -153,8 +169,7 @@ def test_boundary_rays_in_both_hilbert_bases():
 
 def test_coverage_grid():
     for a, b in [((5, 2), (2, 3)), ((1,), (1,)), ((2, 4), (1, 2)), ((0, 3), (2, 1))]:
-        a2, b2, _ = fan_order(a, b)
-        fan = build_fan(a2, b2)
+        fan = build_fan(a, b)
         for r in range(51):
             for s in range(51):
                 locate(fan, P(r, s))  # raises if uncovered
@@ -169,8 +184,7 @@ def test_locate_bisection_matches_linear_scan():
             a = [rng.randint(0, 4) for _ in range(n)]
             b = [rng.randint(0, 4) for _ in range(n)]
             a[0], b[-1] = a[0] or 1, b[-1] or 1
-            a2, b2, _ = fan_order(a, b)
-            fan = build_fan(a2, b2)
+            fan = build_fan(a, b)
             degenerate += sum(c.is_degenerate for c in fan.cones)
             points = [P(0, 0)]
             for c in fan.cones:  # shared rays and their multiples
@@ -178,5 +192,5 @@ def test_locate_bisection_matches_linear_scan():
             points += [P(rng.randint(0, 99), rng.randint(0, 99)) for _ in range(40)]
             for p in points:
                 first = next(i for i, c in enumerate(fan.cones) if cone_contains(c, p))
-                assert locate(fan, p) == first, (a2, b2, p)
+                assert locate(fan, p) == first, (fan.a, fan.b, p)
     assert degenerate > 0

@@ -18,7 +18,6 @@ from conealg import (
     build_fan,
     check_fan_linear,
     fan_algebra_generators,
-    fan_order,
     graded_component,
     hilbert_basis,
     ideal_power,
@@ -151,8 +150,7 @@ def max_plus_min(tops, bottoms, extra_rays):
         for (a1, b1), (a2, b2) in itertools.combinations(tops + bottoms, 2)
         if (a1 - a2) * (b1 - b2) < 0
     ] + extra_rays
-    a, b, _ = fan_order([s for _, s in rays], [r for r, _ in rays])
-    fan = build_fan(a, b)
+    fan = build_fan([s for _, s in rays], [r for r, _ in rays])
 
     def at(form, p):
         return form[0] * p.r + form[1] * p.s
@@ -400,6 +398,15 @@ def test_spec_roundtrip_from_json():
         (lambda d: d.update(pieces=[[[1, 2]]]), "pieces[0]"),
         (lambda d: d.update(a=[1.0]), "a[0]"),
         (lambda d: d.update(a=[2], b=[0]), "a/b"),
+        # the checks of the pair, with their whole messages
+        (lambda d: d.update(a=[2, 5], b=[3, 2]),
+         "a/b: a and b are not fan ordered (ratios a_i/b_i must be non-increasing)"),
+        (lambda d: d.update(a=[1, 0, 5], b=[2, 0, 1]), "a/b: a and b are both zero at index 1"),
+        (lambda d: d.update(a=[1, 2]), "a/b: exponent vectors must have the same length"),
+        (lambda d: d.update(a=[1, -2], b=[1, 2]),
+         "a/b: a entries must be nonnegative integers, got -2"),
+        (lambda d: d.update(a=[0, 0], b=[1, 2]),
+         "a/b: a has no positive entry (the ideal would be the unit ideal)"),
         (lambda d: d.update(extra=1), "unknown field"),
         (lambda d: d.pop("ideals"), "missing field"),
         (lambda d: d.update(ideals=[["x+y"]]), "ideals[0][0]"),

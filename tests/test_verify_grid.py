@@ -18,7 +18,6 @@ from conealg import (
     build_fan,
     check_fan_linear,
     fan_algebra_generators,
-    fan_order,
     intersection_as_fan_algebra,
     intersection_generators,
     locate,
@@ -290,7 +289,7 @@ EDGE_PAIRS = [
 def test_row_walk_matches_locate_and_bisection(a, b, r_max, s_max):
     """Every cell, in order, gets the cone ``locate`` gives and the factors
     ``unimodular_decomposition`` gives along that cone's chain."""
-    fan = build_fan(*fan_order(a, b)[:2])
+    fan = build_fan(a, b)
     available = {e: e for chain in fan.chains for e in chain}
     visits = []
 

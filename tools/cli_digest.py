@@ -44,6 +44,10 @@ EXTRAS = [
     ["hilbert-basis", "--ray", "2,7", "--ray", "3,1", "--format", "json"],
     ["hilbert-basis", "--ray", "4,4", "--ray", "2,2"],
 ]
+# build_fan fan-orders its input: an unordered pair and one with a both-zero column
+for pair in (["--a", "2,5", "--b", "3,2"], ["--a", "1,0,5", "--b", "2,0,1"]):
+    EXTRAS += [["fan", *pair, "--format", form] for form in ("text", "json", "svg")]
+    EXTRAS += [["generators", *pair], ["verify", *pair, "--rmax", "9", "--smax", "9"]]
 
 
 def _answer(main, argv):
