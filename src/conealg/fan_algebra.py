@@ -18,12 +18,13 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .fans import Fan, build_fan, locate
 from .generators import VerificationReport, _verify_grid
-from .lattice import LatticePoint2, det
+from .lattice import LatticePoint2, _point, det
 from .monomials import (
     BigradedMonomial,
     Monomial,
     MonomialIdeal,
     _candidate_cap,
+    _natural,
     check_variable_names,
     default_variables,
     ideal_power,
@@ -236,16 +237,14 @@ def intersection_as_fan_algebra(
         variables = default_variables(n)
     position = {original: j for j, original in enumerate(fan.order)}
     ncones = len(fan.cones)
-    ideals = []
     functions = []
     for k in range(n):
-        exponents = [0] * n
-        exponents[k] = 1
-        ideals.append(MonomialIdeal(n, [Monomial(tuple(exponents))]))
         j = position.get(k, 0)  # a column left out of the fan has a_k = b_k = 0
         pieces = tuple((a[k], 0) if j < i else (0, b[k]) for i in range(ncones))
         functions.append(check_fan_linear(fan, pieces))
-    return FanAlgebraSpec(tuple(variables), tuple(ideals), tuple(functions))
+    xs = maximal_ideal(n).sorted_gens()  # x_1, ..., x_n
+    ideals = tuple(MonomialIdeal._from_minimal(n, [x.exponents]) for x in xs)
+    return FanAlgebraSpec(tuple(variables), ideals, tuple(functions))
 
 
 def verify_fan_algebra(
@@ -279,7 +278,7 @@ def verify_fan_algebra(
     return _verify_grid(
         spec.fan, ideals, r_max, s_max,
         lambda low, m, high, n: _product_of_powers(spec, ((low, m), (high, n)), max_candidates),
-        lambda r: lambda i, s: _component_on_cone(spec, i, LatticePoint2(r, s), max_candidates),
+        lambda r: lambda i, s: _component_on_cone(spec, i, _point(r, s), max_candidates),
         reasons,
         max_candidates,
     )
@@ -294,9 +293,8 @@ def principal_cap_maximal_power(
         raise ValueError(f"f has {f.nvars} variables, expected {n_vars}")
     if f.is_unit():
         raise ValueError("f must not be the unit monomial")
-    for name, value in (("r", r), ("s", s)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    _natural("r", r)
+    _natural("s", s)
     clamp = max(s - r * f.total_degree(), 0)
     return ideal_product(
         MonomialIdeal(n_vars, [f**r]),

@@ -10,17 +10,17 @@ cover the first quadrant.
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
+from math import gcd
 from typing import Sequence
 
-from .lattice import Cone2, LatticePoint2, det, hilbert_basis, primitive
+from .lattice import Cone2, LatticePoint2, _cone, _point, det, hilbert_basis
+from .monomials import _naturals
 
 
 def _check_exponent_vector(name: str, v: tuple[int, ...]) -> None:
     if len(v) == 0:
         raise ValueError(f"{name} must be nonempty")
-    for x in v:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            raise ValueError(f"{name} entries must be nonnegative integers, got {x!r}")
+    _naturals(f"{name} entries", v)
     if not any(v):
         raise ValueError(f"{name} has no positive entry (the ideal would be the unit ideal)")
 
@@ -82,15 +82,15 @@ class Fan:
 
 
 def build_fan(a: Sequence[int], b: Sequence[int]) -> Fan:
-    """Build the fan of any valid pair (a, b), as ``fan_order`` sorts it."""
+    """Build the fan of any valid pair (a, b), as ``fan_order`` checks and
+    sorts it; the rays and cones derived from its columns are built unchecked."""
     a, b, order = fan_order(a, b)
-    rays = [LatticePoint2(0, 1)]
-    rays.extend(primitive(LatticePoint2(b[i], a[i])) for i in range(len(a)))
-    rays.append(LatticePoint2(1, 0))
-    cones = tuple(
-        Cone2(ray_low=rays[i + 1], ray_high=rays[i]) for i in range(len(rays) - 1)
-    )
-    return Fan(a, b, order, cones)
+    rays = [_point(0, 1)]
+    for x, y in zip(b, a):
+        g = gcd(x, y)
+        rays.append(_point(x // g, y // g))
+    rays.append(_point(1, 0))
+    return Fan(a, b, order, tuple(map(_cone, rays[1:], rays)))
 
 
 def locate(fan: Fan, p: LatticePoint2) -> int:

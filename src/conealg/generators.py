@@ -15,7 +15,7 @@ from itertools import repeat
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .fans import Fan, build_fan, fan_order
-from .lattice import LatticePoint2
+from .lattice import LatticePoint2, _point
 from .monomials import BigradedMonomial, PowerCapError, _candidate_cap, principal_intersection
 
 
@@ -133,7 +133,7 @@ def _verify_grid(
                 why = reasons[1]
             failures += 1
             if first is None:
-                first, reason = LatticePoint2(r, s), why
+                first, reason = _point(r, s), why
     return VerificationReport(failures == 0, total, failures, first, reason)
 
 

@@ -1,8 +1,9 @@
 """Exact 2D lattice geometry in the first quadrant.
 
-Primitive vectors, pointed rational cones given by two rays, exact membership
-tests, Hilbert bases as slope-ordered chains, and decomposition of lattice
-points into basis elements.
+Primitive vectors, pointed rational cones given by two rays, Hilbert bases as
+slope-ordered chains, and decomposition of lattice points into basis elements.
+Public constructors and functions check their arguments; points and cones
+derived from checked values are built unchecked by ``_point`` and ``_cone``.
 All arithmetic uses Python integers (arbitrary precision, so there is no
 silent wraparound); every value is immutable and every operation is a pure
 function, safe for concurrent use.
@@ -46,6 +47,13 @@ class LatticePoint2:
         return f"({self.r},{self.s})"
 
 
+def _point(r: int, s: int) -> LatticePoint2:
+    """A LatticePoint2 without its constructor's checks, from checked values."""
+    p = object.__new__(LatticePoint2)
+    p.__dict__.update(r=r, s=s)
+    return p
+
+
 def det(p: LatticePoint2, q: LatticePoint2) -> int:
     """Cross product p.r*q.s - p.s*q.r; positive iff q is steeper than p."""
     return p.r * q.s - p.s * q.r
@@ -56,7 +64,7 @@ def primitive(v: LatticePoint2) -> LatticePoint2:
     if v.is_origin():
         raise ValueError("zero ray")
     g = gcd(v.r, v.s)
-    return LatticePoint2(v.r // g, v.s // g)
+    return _point(v.r // g, v.s // g)
 
 
 @dataclass(frozen=True)
@@ -74,10 +82,8 @@ class Cone2:
     def __post_init__(self):
         for name in ("ray_low", "ray_high"):
             ray = getattr(self, name)
-            if ray.is_origin():
-                raise ValueError("zero ray")
-            if primitive(ray) != ray:
-                raise ValueError(f"{name} {ray} is not primitive")
+            if gcd(ray.r, ray.s) != 1:  # 0 at the origin
+                raise ValueError(f"{name} {ray} is not primitive" if ray.r or ray.s else "zero ray")
         if det(self.ray_low, self.ray_high) < 0:
             raise ValueError(
                 f"ray_high {self.ray_high} has smaller slope than ray_low {self.ray_low}"
@@ -91,18 +97,19 @@ class Cone2:
         return f"cone{{{self.ray_high},{self.ray_low}}}"
 
 
+def _cone(low: LatticePoint2, high: LatticePoint2) -> Cone2:
+    """A Cone2 without its constructor's checks, from primitive rays in slope order."""
+    c = object.__new__(Cone2)
+    c.__dict__.update(ray_low=low, ray_high=high)
+    return c
+
+
 def cone(u: LatticePoint2, w: LatticePoint2) -> Cone2:
     """The cone spanned by u and w; rays are primitivized and ordered by slope."""
     u, w = primitive(u), primitive(w)
     if det(u, w) < 0:
         u, w = w, u
-    return Cone2(ray_low=u, ray_high=w)
-
-
-def cone_contains(c: Cone2, p: LatticePoint2) -> bool:
-    """Exact membership: p = l1*ray_low + l2*ray_high with rational l1, l2 >= 0,
-    decided by the two cross-product sign tests."""
-    return det(c.ray_low, p) >= 0 and det(p, c.ray_high) >= 0
+    return _cone(u, w)
 
 
 def slope_descending(points: Iterable[LatticePoint2]) -> list[LatticePoint2]:
@@ -124,7 +131,6 @@ class HilbertBasis2:
     ``ray_low`` last."""
 
     elements: tuple[LatticePoint2, ...]
-    cone: Cone2
 
 
 def _parallelogram_points(c: Cone2) -> list[LatticePoint2]:
@@ -136,7 +142,7 @@ def _parallelogram_points(c: Cone2) -> list[LatticePoint2]:
         for s in range(wl.s + wh.s + 1):
             if r == 0 and s == 0:
                 continue
-            p = LatticePoint2(r, s)
+            p = _point(r, s)
             # Cramer: l1 = det(p, ray_high)/d, l2 = det(ray_low, p)/d
             if 0 <= det(p, wh) <= d and 0 <= det(wl, p) <= d:
                 points.append(p)
@@ -155,7 +161,7 @@ def hilbert_basis(c: Cone2) -> HilbertBasis2:
     returned sorted by slope, steepest first.
     """
     if c.is_degenerate:
-        return HilbertBasis2((c.ray_low,), c)
+        return HilbertBasis2((c.ray_low,))
     points = _parallelogram_points(c)
     point_set = set(points)
 
@@ -164,7 +170,7 @@ def hilbert_basis(c: Cone2) -> HilbertBasis2:
             q.r <= p.r and q.s <= p.s and (p - q) in point_set for q in points
         )
 
-    return HilbertBasis2(tuple(slope_descending(p for p in points if not reducible(p))), c)
+    return HilbertBasis2(tuple(slope_descending(p for p in points if not reducible(p))))
 
 
 def decompose_over(

@@ -1,14 +1,16 @@
 """Exact monomials and monomial ideals over a fixed variable list.
 
 Monomial ideals are stored by their unique minimal generating set, so set
-equality of generators is ideal equality.  The public constructors check
-their input.  Products and powers of ideals, whose factors were checked
-already, work on plain exponent tuples: they collect the sums of generator
-exponents in one set, keep the minimal ones and wrap only those.  Pruning
-sorts the candidates by total degree and tests each one only against the
-tuples of smaller degree kept so far, since a proper divisor has a strictly
-smaller degree; the candidates of an equigenerated product, such as a power
-of the maximal ideal, need no test at all.  When one factor has a single
+equality of generators is ideal equality.  The public constructors and
+functions check their arguments; what the library derives from values checked
+already is built by ``_monomial`` and ``MonomialIdeal._from_minimal``, which
+skip the checks.  Products and powers of ideals work on plain exponent
+tuples: they collect the sums of generator exponents in one set, keep the
+minimal ones and wrap only those.  Pruning sorts the candidates by total
+degree and tests each one only against the tuples of smaller degree kept so
+far, since a proper divisor has a strictly smaller degree; the candidates of
+an equigenerated product, such as a power of the maximal ideal, need no test
+at all.  When one factor has a single
 generator the product is a translate of the other factor's minimal set and
 needs no pruning.  The enumeration is capped (default 10^6 candidates,
 overridable with the CONEALG_MAX_CANDIDATES environment variable or per call;
@@ -20,7 +22,8 @@ cells.
 import os
 import re
 from dataclasses import dataclass
-from operator import add, le
+from itertools import repeat
+from operator import add, le, mul
 from typing import Iterable, Optional, Sequence
 
 from .lattice import LatticePoint2
@@ -42,6 +45,21 @@ def _candidate_cap(override: Optional[int] = None) -> int:
     if not env.strip().isdecimal() or int(env) < 1:
         raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {env!r}")
     return int(env)
+
+
+def _natural(name: str, value) -> None:
+    """Raise ValueError unless value is a nonnegative int (a bool is not)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def _naturals(name: str, values: tuple) -> None:
+    """Raise ValueError, naming the first bad entry, unless every entry passes
+    ``_natural``'s test; entries all of type int pass at C speed."""
+    if not {int}.issuperset(map(type, values)) or min(values, default=0) < 0:
+        for x in values:
+            if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+                raise ValueError(f"{name} must be nonnegative integers, got {x!r}")
 
 
 def check_variable_names(names: Sequence[str]) -> None:
@@ -76,9 +94,7 @@ class Monomial:
     def __post_init__(self):
         if not isinstance(self.exponents, tuple):
             object.__setattr__(self, "exponents", tuple(self.exponents))
-        for e in self.exponents:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError(f"exponents must be nonnegative integers, got {e!r}")
+        _naturals("exponents", self.exponents)
 
     @property
     def nvars(self) -> int:
@@ -90,34 +106,24 @@ class Monomial:
     def total_degree(self) -> int:
         return sum(self.exponents)
 
-    def divides(self, other: "Monomial") -> bool:
-        _same_nvars(self, other)
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
     def __mul__(self, other: "Monomial") -> "Monomial":
-        _same_nvars(self, other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        if self.nvars != other.nvars:
+            raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
+        return _monomial(tuple(map(add, self.exponents, other.exponents)))
 
     def __pow__(self, k: int) -> "Monomial":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        return Monomial(tuple(e * k for e in self.exponents))
-
-
-def _same_nvars(a, b) -> None:
-    if a.nvars != b.nvars:
-        raise ValueError(f"variable count mismatch: {a.nvars} vs {b.nvars}")
+        _natural("exponent", k)
+        return _monomial(tuple(e * k for e in self.exponents))
 
 
 def unit_monomial(nvars: int) -> Monomial:
-    return Monomial((0,) * nvars)
+    return _monomial((0,) * nvars)
 
 
 def _monomial(exponents: tuple[int, ...]) -> Monomial:
-    """A Monomial without the checks of its constructor, for exponent tuples
-    computed from monomials that were already validated."""
+    """A Monomial without its constructor's checks, from checked exponents."""
     m = object.__new__(Monomial)
-    object.__setattr__(m, "exponents", exponents)
+    m.__dict__["exponents"] = exponents
     return m
 
 
@@ -190,12 +196,6 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def is_unit(self) -> bool:
-        return unit_monomial(self.nvars) in self.gens
-
-    def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
-
     def sorted_gens(self) -> list[Monomial]:
         """Generators in descending exponent order (x-heaviest first)."""
         return sorted(self.gens, reverse=True)
@@ -214,12 +214,8 @@ class MonomialIdeal:
 
 def maximal_ideal(nvars: int) -> MonomialIdeal:
     """The ideal (x_1, ..., x_n)."""
-    gens = []
-    for i in range(nvars):
-        e = [0] * nvars
-        e[i] = 1
-        gens.append(Monomial(tuple(e)))
-    return MonomialIdeal(nvars, gens)
+    basis = ((0,) * i + (1,) + (0,) * (nvars - 1 - i) for i in range(nvars))
+    return MonomialIdeal._from_minimal(nvars, basis)
 
 
 def ideal_product(
@@ -242,8 +238,7 @@ def ideal_power(
     a: MonomialIdeal, m: int, max_candidates: Optional[int] = None
 ) -> MonomialIdeal:
     """m-th power via iterated products of minimal generating sets; A^0 = (1)."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"power must be a nonnegative integer, got {m!r}")
+    _natural("power", m)
     cap = _candidate_cap(max_candidates)
     base = [g.exponents for g in a.gens]
     result = [(0,) * a.nvars]
@@ -264,10 +259,11 @@ def principal_intersection(
     a, b = tuple(a), tuple(b)
     if len(a) != len(b):
         raise ValueError("exponent vectors must have the same length")
-    for name, value in (("r", r), ("s", s)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-    return Monomial(tuple(max(r * ak, s * bk) for ak, bk in zip(a, b)))
+    _natural("r", r)
+    _natural("s", s)
+    _naturals("a entries", a)
+    _naturals("b entries", b)
+    return _monomial(tuple(map(max, map(mul, a, repeat(r)), map(mul, b, repeat(s)))))
 
 
 @dataclass(frozen=True, order=True)

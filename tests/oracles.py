@@ -124,15 +124,16 @@ def random_exponent_pair(rng, max_len=4, max_entry=6):
             return a, b
 
 
+def divides(g: Monomial, m: Monomial) -> bool:
+    """Whether g divides m, by comparing exponents."""
+    return all(x <= y for x, y in zip(g.exponents, m.exponents))
+
+
 def brute_minimal_generators(gens) -> frozenset:
     """The monomials of ``gens`` that no other one divides, by comparing
     every pair of exponent vectors."""
     gens = set(gens)
-    return frozenset(
-        g for g in gens
-        if not any(h != g and all(x <= y for x, y in zip(h.exponents, g.exponents))
-                   for h in gens)
-    )
+    return frozenset(g for g in gens if not any(h != g and divides(h, g) for h in gens))
 
 
 def brute_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

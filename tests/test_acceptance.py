@@ -16,7 +16,6 @@ from conealg import (
     check_fan_linear,
     build_fan,
     cone,
-    cone_contains,
     fan_algebra_generators,
     hilbert_basis,
     ideal_power,
@@ -29,7 +28,12 @@ from conealg import (
 )
 from conealg.fan_algebra import FanLinearityError
 from conealg.lattice import decompose_over
-from oracles import brute_intersection, largest_inner_power, random_exponent_pair
+from oracles import (
+    brute_intersection,
+    frac_cone_contains,
+    largest_inner_power,
+    random_exponent_pair,
+)
 
 P = LatticePoint2
 M = Monomial
@@ -102,12 +106,12 @@ def test_criterion_4_property_suite():
                         if q.is_origin() or rest.is_origin():
                             continue
                         assert not (
-                            cone_contains(c, q) and cone_contains(c, rest)
+                            frac_cone_contains(c, q) and frac_cone_contains(c, rest)
                         ), f"basis element {e} of {c} is reducible"
             for r in range(26):
                 for s in range(26):
                     p = P(r, s)
-                    if not cone_contains(c, p):
+                    if not frac_cone_contains(c, p):
                         continue
                     total = P(0, 0)
                     for e, m in decompose_over(p, basis.elements).items():

@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conealg import (
+    Cone2,
     LatticePoint2,
     build_fan,
-    cone_contains,
+    cone,
     fan_order,
     hilbert_basis,
     locate,
     primitive,
 )
-from oracles import random_exponent_pair
+from conealg import fans, lattice
+from oracles import frac_cone_contains, random_exponent_pair
 
 P = LatticePoint2
 
@@ -113,6 +115,35 @@ def test_build_fan_is_fan_order_then_cones(columns):
     assert list(fan.degrees.items()) == list(first.items())
 
 
+@given(COLUMNS.filter(lambda cs: any(x for x, _ in cs) and any(y for _, y in cs)))
+def test_build_fan_cones_pass_the_checked_constructors(columns):
+    # build_fan builds its rays and cones unchecked, from fan_order's checked columns
+    a, b = (tuple(v) for v in zip(*columns))
+    for c in build_fan(a, b).cones:
+        low, high = (P(ray.r, ray.s) for ray in (c.ray_low, c.ray_high))
+        checked = Cone2(ray_low=low, ray_high=high)
+        assert (low, high) == (c.ray_low, c.ray_high)
+        assert c == checked and hash(c) == hash(checked)
+        assert c == cone(c.ray_low, c.ray_high)
+
+
+def test_build_fan_checks_nothing_twice(monkeypatch):
+    def checked_again(*args):
+        raise AssertionError("build_fan re-checked a value that fan_order checked")
+
+    monkeypatch.setattr(LatticePoint2, "__post_init__", checked_again)
+    monkeypatch.setattr(Cone2, "__post_init__", checked_again)
+    monkeypatch.setattr(lattice, "primitive", checked_again)
+    monkeypatch.setattr(fans, "primitive", checked_again, raising=False)
+    fan = build_fan((5, 0, 2, 1), (2, 0, 3, 0))
+    assert [((c.ray_high.r, c.ray_high.s), (c.ray_low.r, c.ray_low.s)) for c in fan.cones] == [
+        ((0, 1), (0, 1)),
+        ((0, 1), (2, 5)),
+        ((2, 5), (3, 2)),
+        ((3, 2), (1, 0)),
+    ]
+
+
 def test_degenerate_cone_from_vanishing_b_entry():
     # ratio +infinity merges the first interior ray with the (0,1) sentinel
     fan = build_fan((2, 3), (3, 0))
@@ -144,8 +175,8 @@ def test_sentinels():
         assert fan.cones[0].ray_high == P(0, 1)
         assert fan.cones[-1].ray_low == P(1, 0)
         for k in range(6):
-            assert cone_contains(fan.cones[0], P(0, k))
-            assert cone_contains(fan.cones[-1], P(k, 0))
+            assert frac_cone_contains(fan.cones[0], P(0, k))
+            assert frac_cone_contains(fan.cones[-1], P(k, 0))
 
 
 def test_monotone_slopes_and_shared_rays():
@@ -191,6 +222,6 @@ def test_locate_bisection_matches_linear_scan():
                 points += [c.ray_low, c.ray_high.scaled(rng.randint(1, 5))]
             points += [P(rng.randint(0, 99), rng.randint(0, 99)) for _ in range(40)]
             for p in points:
-                first = next(i for i, c in enumerate(fan.cones) if cone_contains(c, p))
+                first = next(i for i, c in enumerate(fan.cones) if frac_cone_contains(c, p))
                 assert locate(fan, p) == first, (fan.a, fan.b, p)
     assert degenerate > 0

@@ -33,6 +33,7 @@ from conealg import (
 from oracles import (
     brute_intersection,
     brute_subadditivity_witness,
+    divides,
     frac_piece_value,
     random_exponent_pair,
 )
@@ -368,7 +369,7 @@ def test_principal_cap_generators_mapping():
     # every coefficient at degree (r, s) lies in (f)^r cap m^s
     for bm in gens:
         component = principal_cap_maximal_power(2, f, bm.degree.r, bm.degree.s)
-        assert component.contains(bm.coeff)
+        assert any(divides(g, bm.coeff) for g in component.gens)
     # the auxiliary algebra itself verifies on a grid
     aux = principal_cap_algebra(2, f)
     report = verify_fan_algebra(aux, fan_algebra_generators(aux), 8, 8)

@@ -43,6 +43,15 @@ EXTRAS = [
     ["hilbert-basis", "--ray", "1,0", "--ray", "5,24"],
     ["hilbert-basis", "--ray", "2,7", "--ray", "3,1", "--format", "json"],
     ["hilbert-basis", "--ray", "4,4", "--ray", "2,2"],
+    # the library's boundary checks: rays, entries, grid bounds and lengths they reject,
+    # and a non-primitive ray that cone() primitivizes
+    ["hilbert-basis", "--ray", "0,0", "--ray", "1,0"],
+    ["hilbert-basis", "--ray=-1,2", "--ray", "1,0"],
+    ["hilbert-basis", "--ray", "2,4", "--ray", "1,0"],
+    ["verify", "--a", "5,-1", "--b", "2,3", "--rmax", "3", "--smax", "3"],
+    ["verify", "--a", "5,2", "--b", "2,3", "--rmax", "-1", "--smax", "3"],
+    ["generators", "--a", "5,2", "--b", "2,3,1"],
+    ["fan", "--a", "0,0", "--b", "1,2"],
 ]
 # build_fan fan-orders its input: an unordered pair and one with a both-zero column
 for pair in (["--a", "2,5", "--b", "3,2"], ["--a", "1,0,5", "--b", "2,0,1"]):
