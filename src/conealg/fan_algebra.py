@@ -17,7 +17,7 @@ from functools import cache, reduce
 from typing import Callable, Iterable, Optional, Sequence
 
 from .fans import Fan, build_fan, locate
-from .generators import VerificationReport, _verify_grid
+from .generators import VerificationReport, _check_grid, _verify_grid
 from .lattice import LatticePoint2, _point, det
 from .monomials import (
     BigradedMonomial,
@@ -31,7 +31,6 @@ from .monomials import (
     ideal_product,
     maximal_ideal,
     parse_monomial,
-    unit_monomial,
 )
 
 
@@ -184,7 +183,7 @@ def _product_of_powers(
     powers = [spec._power(ideal, m, max_candidates) for ideal, m in factors if m]
     if not powers:
         nvars = len(spec.variables)
-        return MonomialIdeal(nvars, [unit_monomial(nvars)])
+        return MonomialIdeal._from_minimal(nvars, [(0,) * nvars])
     return reduce(lambda x, y: ideal_product(x, y, max_candidates), powers)
 
 
@@ -195,18 +194,14 @@ def _component_on_cone(
     return _product_of_powers(spec, factors, max_candidates)
 
 
-def graded_component(
-    spec: FanAlgebraSpec, r: int, s: int, max_candidates: Optional[int] = None
-) -> MonomialIdeal:
+def graded_component(spec: FanAlgebraSpec, r: int, s: int) -> MonomialIdeal:
     """The (r, s) component I_1^{f_1(r,s)} ... I_n^{f_n(r,s)} as a monomial
     ideal, from the powers the spec keeps."""
     p = LatticePoint2(r, s)
-    return _component_on_cone(spec, locate(spec.fan, p), p, _candidate_cap(max_candidates))
+    return _component_on_cone(spec, locate(spec.fan, p), p, _candidate_cap())
 
 
-def fan_algebra_generators(
-    spec: FanAlgebraSpec, max_candidates: Optional[int] = None
-) -> tuple[BigradedMonomial, ...]:
+def fan_algebra_generators(spec: FanAlgebraSpec) -> tuple[BigradedMonomial, ...]:
     """Finite generating set: for every Hilbert basis element (r, s) of every
     cone, one generator per minimal generator of the (r, s) component.
 
@@ -215,11 +210,11 @@ def fan_algebra_generators(
     shared by several cones is taken on the first of them, as ``degrees``
     maps it: face agreement gives every cone that holds it the same component.
     """
-    max_candidates = _candidate_cap(max_candidates)
+    cap = _candidate_cap()
     return tuple(
         BigradedMonomial(mono, p)
         for p, i in spec.fan.degrees.items()
-        for mono in _component_on_cone(spec, i, p, max_candidates).sorted_gens()
+        for mono in _component_on_cone(spec, i, p, cap).sorted_gens()
     )
 
 
@@ -248,11 +243,7 @@ def intersection_as_fan_algebra(
 
 
 def verify_fan_algebra(
-    spec: FanAlgebraSpec,
-    gens: Iterable[BigradedMonomial],
-    r_max: int,
-    s_max: int,
-    max_candidates: Optional[int] = None,
+    spec: FanAlgebraSpec, gens: Iterable[BigradedMonomial], r_max: int, s_max: int
 ) -> VerificationReport:
     """Check that every graded component on [0..r_max] x [0..s_max] equals the
     product of generator components along the bracketing unimodular pair of
@@ -265,7 +256,8 @@ def verify_fan_algebra(
     ideal powers from the spec, which keeps those of an earlier
     fan_algebra_generators call.
     """
-    max_candidates = _candidate_cap(max_candidates)
+    _check_grid(r_max, s_max)
+    cap = _candidate_cap()
     by_degree: dict[LatticePoint2, set[Monomial]] = {}
     for g in gens:
         by_degree.setdefault(g.degree, set()).add(g.coeff)
@@ -277,37 +269,37 @@ def verify_fan_algebra(
     )
     return _verify_grid(
         spec.fan, ideals, r_max, s_max,
-        lambda low, m, high, n: _product_of_powers(spec, ((low, m), (high, n)), max_candidates),
-        lambda r: lambda i, s: _component_on_cone(spec, i, _point(r, s), max_candidates),
+        lambda low, m, high, n: _product_of_powers(spec, ((low, m), (high, n)), cap),
+        lambda r: lambda i, s: _component_on_cone(spec, i, _point(r, s), cap),
         reasons,
-        max_candidates,
+        cap,
     )
 
 
-def principal_cap_maximal_power(
-    n_vars: int, f: Monomial, r: int, s: int, max_candidates: Optional[int] = None
-) -> MonomialIdeal:
-    """Minimal generators of (f)^r intersected with (x_1..x_n)^s for a
-    non-unit monomial f: equals f^r * m^{max(s - r*deg f, 0)}."""
+def _check_principal(n_vars: int, f: Monomial) -> None:
     if f.nvars != n_vars:
         raise ValueError(f"f has {f.nvars} variables, expected {n_vars}")
     if f.is_unit():
         raise ValueError("f must not be the unit monomial")
+
+
+def principal_cap_maximal_power(n_vars: int, f: Monomial, r: int, s: int) -> MonomialIdeal:
+    """Minimal generators of (f)^r intersected with (x_1..x_n)^s for a
+    non-unit monomial f: equals f^r * m^{max(s - r*deg f, 0)}."""
+    _check_principal(n_vars, f)
     _natural("r", r)
     _natural("s", s)
     clamp = max(s - r * f.total_degree(), 0)
+    cap = _candidate_cap()
     return ideal_product(
-        MonomialIdeal(n_vars, [f**r]),
-        ideal_power(maximal_ideal(n_vars), clamp, max_candidates),
-        max_candidates,
+        MonomialIdeal(n_vars, [f**r]), ideal_power(maximal_ideal(n_vars), clamp, cap), cap
     )
 
 
 def principal_cap_algebra(n_vars: int, f: Monomial) -> FanAlgebraSpec:
     """The auxiliary fan algebra behind (f)^r cap m^s: the maximal ideal with
     exponent s - r*deg f above the wall of slope deg f, zero below."""
-    if f.is_unit():
-        raise ValueError("f must not be the unit monomial")
+    _check_principal(n_vars, f)
     degree = f.total_degree()
     fan = build_fan((degree,), (1,))
     function = check_fan_linear(fan, ((-degree, 1), (0, 0)))

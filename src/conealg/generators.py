@@ -66,6 +66,15 @@ class VerificationReport:
         )
 
 
+def _check_grid(r_max: int, s_max: int) -> None:
+    """Raise ValueError unless both grid bounds are nonnegative ints (a bool is not)."""
+    for bound in (r_max, s_max):
+        if not isinstance(bound, int) or isinstance(bound, bool):
+            raise ValueError(f"grid bounds must be integers, got {bound!r}")
+    if r_max < 0 or s_max < 0:
+        raise ValueError("grid bounds must be nonnegative")
+
+
 def _verify_grid(
     fan: Fan,
     available: Mapping[LatticePoint2, object],
@@ -87,9 +96,8 @@ def _verify_grid(
     per row, or it fails with ``reasons[1]``.  Along a row s grows, so
     det(ray_low, p) and det(e, p) never decrease: two cursors find the cone
     (as ``locate`` does) and the pair, moving only towards index 0.  A grid
-    of more cells than the candidate cap raises PowerCapError first."""
-    if r_max < 0 or s_max < 0:
-        raise ValueError("grid bounds must be nonnegative")
+    of more cells than the candidate cap raises PowerCapError first; the
+    public verifiers check the bounds with ``_check_grid``."""
     total = (r_max + 1) * (s_max + 1)
     cap = _candidate_cap(max_candidates)
     if total > cap:
@@ -162,6 +170,7 @@ def verify_generation(
     (``fan_order`` reversed) moves each to s*b_k once s*b_k >= r*a_k.
     Coefficients of another length raise ValueError.
     """
+    _check_grid(r_max, s_max)
     a, b = tuple(a), tuple(b)
     order = fan_order(a, b)[2][::-1]  # checks a and b; ratio a_k/b_k ascending
     coeffs = {bm.degree: bm.coeff.exponents for bm in gens.generators}
@@ -224,12 +233,10 @@ def asymptotic_limits(a: Sequence[int], b: Sequence[int]) -> AsymptoticLimits:
     hold by construction.
     """
     a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        raise ValueError("exponent vectors must have the same length")
-    if len(a) == 0:
-        raise ValueError("exponent vectors must be nonempty")
-    if any(x <= 0 for x in a) or any(x <= 0 for x in b):
+    # an int entry <= 0 means the radicals differ; fan_order checks the lengths
+    # first and rejects every entry that is not an int
+    if len(a) == len(b) and any(x <= 0 for x in a + b if type(x) is int):
         raise ValueError("radicals differ: all exponents must be positive")
-    ratios = [Fraction(x, y) for x, y in zip(a, b)]
-    hi, lo = max(ratios), min(ratios)
+    a, b, _ = fan_order(a, b)  # ratio a_k/b_k descending
+    hi, lo = Fraction(a[0], b[0]), Fraction(a[-1], b[-1])
     return AsymptoticLimits(1 / hi, 1 / lo, lo, hi)

@@ -13,10 +13,10 @@ an equigenerated product, such as a power of the maximal ideal, need no test
 at all.  When one factor has a single
 generator the product is a translate of the other factor's minimal set and
 needs no pruning.  The enumeration is capped (default 10^6 candidates,
-overridable with the CONEALG_MAX_CANDIDATES environment variable or per call;
-the fan-algebra generator and verifier functions read the cap once per call
-and pass it down); the grid verifiers apply the same cap to their number of
-cells.
+overridable with the CONEALG_MAX_CANDIDATES environment variable; the
+fan-algebra functions read the cap once per call and pass it down through
+``ideal_product`` and ``ideal_power``); the grid verifiers apply the same cap to
+their number of cells.
 """
 
 import os
@@ -39,7 +39,11 @@ class PowerCapError(RuntimeError):
 
 
 def _candidate_cap(override: Optional[int] = None) -> int:
+    """The cap passed down by a caller that read it already, else the
+    environment's; either must be a positive int."""
     if override is not None:
+        if type(override) is not int or override < 1:
+            raise ValueError(f"max_candidates must be a positive integer, got {override!r}")
         return override
     env = os.environ.get(CAP_ENV_VAR) or str(DEFAULT_MAX_CANDIDATES)
     if not env.strip().isdecimal() or int(env) < 1:
@@ -80,6 +84,7 @@ def check_variable_names(names: Sequence[str]) -> None:
 
 def default_variables(n: int) -> tuple[str, ...]:
     """x, y, z for up to three variables, x1..xn beyond."""
+    _natural("n", n)
     if n <= 3:
         return ("x", "y", "z")[:n]
     return tuple(f"x{i}" for i in range(1, n + 1))
@@ -117,6 +122,7 @@ class Monomial:
 
 
 def unit_monomial(nvars: int) -> Monomial:
+    _natural("nvars", nvars)
     return _monomial((0,) * nvars)
 
 
@@ -160,6 +166,7 @@ def _product_exponents(
     return _minimalize({tuple(map(add, g, h)) for g in xs for h in ys})
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class MonomialIdeal:
     """A monomial ideal in its minimal-generator normal form.
 
@@ -168,9 +175,11 @@ class MonomialIdeal:
     mixing arities is an error, never a broadcast.
     """
 
-    __slots__ = ("nvars", "gens")
+    nvars: int
+    gens: frozenset[Monomial]
 
     def __init__(self, nvars: int, generators: Iterable[Monomial] = ()):
+        _natural("nvars", nvars)
         gens = frozenset(
             g if isinstance(g, Monomial) else Monomial(tuple(g)) for g in generators
         )
@@ -190,9 +199,6 @@ class MonomialIdeal:
         object.__setattr__(ideal, "gens", frozenset(map(_monomial, exponents)))
         return ideal
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialIdeal is immutable")
-
     def is_zero(self) -> bool:
         return not self.gens
 
@@ -200,20 +206,13 @@ class MonomialIdeal:
         """Generators in descending exponent order (x-heaviest first)."""
         return sorted(self.gens, reverse=True)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialIdeal):
-            return NotImplemented
-        return self.nvars == other.nvars and self.gens == other.gens
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.gens))
-
     def __repr__(self) -> str:
         return f"MonomialIdeal({self.nvars}, {sorted(self.gens)})"
 
 
 def maximal_ideal(nvars: int) -> MonomialIdeal:
     """The ideal (x_1, ..., x_n)."""
+    _natural("nvars", nvars)
     basis = ((0,) * i + (1,) + (0,) * (nvars - 1 - i) for i in range(nvars))
     return MonomialIdeal._from_minimal(nvars, basis)
 

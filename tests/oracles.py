@@ -17,7 +17,9 @@ import itertools
 from bisect import bisect_left
 from fractions import Fraction
 
-from conealg import Cone2, LatticePoint2, Monomial, MonomialIdeal, VerificationReport, det, locate
+from conealg import Cone2, LatticePoint2, Monomial, MonomialIdeal, VerificationReport
+from conealg.fans import locate
+from conealg.lattice import det
 from conealg.fan_algebra import _component_on_cone, _product_of_powers
 
 

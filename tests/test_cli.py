@@ -141,6 +141,18 @@ def test_hilbert_basis_golden_line(capsys):
     assert out == "(0,1) (1,3) (2,5)\n"
 
 
+def test_hilbert_basis_json(capsys):
+    code, out, _ = run(
+        capsys, "hilbert-basis", "--ray", "2,5", "--ray", "0,1", "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "format_version": 1,
+        "cone": {"ray_high": [0, 1], "ray_low": [2, 5]},
+        "elements": [[0, 1], [1, 3], [2, 5]],
+    }
+
+
 def test_hilbert_basis_requires_two_rays(capsys):
     code, _, err = run(capsys, "hilbert-basis", "--ray", "0,1")
     assert code == 2 and "exactly two" in err
@@ -264,6 +276,18 @@ def test_limits_line(capsys):
     assert out == "l_I(J)=2/5 L_I(J)=3/2 l_J(I)=2/3 L_J(I)=5/2\n"
 
 
+def test_limits_json(capsys):
+    code, out, _ = run(capsys, "limits", "--a", "5,2", "--b", "2,3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "format_version": 1,
+        "l_I_of_J": "2/5",
+        "L_I_of_J": "3/2",
+        "l_J_of_I": "2/3",
+        "L_J_of_I": "5/2",
+    }
+
+
 def test_limits_rejects_unequal_radicals(capsys):
     code, _, err = run(capsys, "limits", "--a", "1,0", "--b", "1,2")
     assert code == 2 and "radicals differ" in err
@@ -295,6 +319,24 @@ def test_fan_algebra_verify_pass(tmp_path, capsys):
     code, out, _ = run(capsys, "fan-algebra", "--spec", str(path), "--verify", "8x8")
     assert code == 0
     assert out.splitlines()[-1] == "PASS 81/81 components"
+
+
+def test_fan_algebra_verify_one_number_is_a_square_grid(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPEC_PAYLOAD))
+    code, out, _ = run(capsys, "fan-algebra", "--spec", str(path), "--verify", "4")
+    assert code == 0
+    assert out.splitlines()[-1] == "PASS 25/25 components"
+
+
+@pytest.mark.parametrize("grid", ["3x", "x3", "3x4x5", "three", "3.0"])
+def test_fan_algebra_malformed_verify_exits_2(tmp_path, capsys, grid):
+    with pytest.raises(SystemExit) as info:
+        main(["fan-algebra", "--spec", str(tmp_path / "spec.json"), "--verify", grid])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"argument --verify: expected N or RxS, got {grid!r}\n"
+    )
 
 
 def test_fan_algebra_schema_error(tmp_path, capsys):

@@ -10,10 +10,10 @@ from conealg import (
     cone,
     fan_order,
     hilbert_basis,
-    locate,
-    primitive,
 )
 from conealg import fans, lattice
+from conealg.fans import locate
+from conealg.lattice import primitive
 from oracles import frac_cone_contains, random_exponent_pair
 
 P = LatticePoint2

@@ -314,24 +314,25 @@ def test_verify_fan_algebra_detects_tampering():
     assert report.first_failure == P(1, 1)
 
 
-def _first_component_cap_error(spec, r_max, s_max, cap):
+def _first_component_cap_error(spec, r_max, s_max):
     for r in range(r_max + 1):
         for s in range(s_max + 1):
             try:
-                graded_component(spec, r, s, cap)
+                graded_component(spec, r, s)
             except PowerCapError as e:
                 return str(e)
     return None
 
 
 @pytest.mark.parametrize("cap,r_max,s_max", [(20, 3, 3), (50, 2, 6), (100, 6, 6)])
-def test_verify_fan_algebra_cap_error_matches_graded_component(cap, r_max, s_max):
+def test_verify_fan_algebra_cap_error_matches_graded_component(cap, r_max, s_max, monkeypatch):
     spec = principal_cap_algebra(3, M((1, 0, 0)))
     gens = fan_algebra_generators(spec)
-    expected = _first_component_cap_error(spec, r_max, s_max, cap)
+    monkeypatch.setenv("CONEALG_MAX_CANDIDATES", str(cap))
+    expected = _first_component_cap_error(spec, r_max, s_max)
     assert expected is not None
     with pytest.raises(PowerCapError) as info:
-        verify_fan_algebra(spec, gens, r_max, s_max, cap)
+        verify_fan_algebra(spec, gens, r_max, s_max)
     assert str(info.value) == expected
 
 
@@ -350,6 +351,25 @@ def test_principal_cap_maximal_power_examples():
 def test_principal_cap_rejects_unit():
     with pytest.raises(ValueError, match="unit"):
         principal_cap_maximal_power(2, M((0, 0)), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        principal_cap_algebra,
+        principal_cap_generators,
+        lambda n, f: principal_cap_maximal_power(n, f, 1, 1),
+    ],
+)
+def test_principal_cap_checks_the_arity_of_f(build):
+    for n, f, message in [
+        (3, M((1, 1)), "f has 2 variables, expected 3"),
+        (1, M((1, 1)), "f has 2 variables, expected 1"),
+        (2, M((0, 0)), "f must not be the unit monomial"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            build(n, f)
+        assert str(info.value) == message
 
 
 def test_principal_cap_matches_intersection_oracle():
@@ -415,6 +435,12 @@ def test_spec_roundtrip_from_json():
         (lambda d: d.update(variables=["x", "x"]), "variables[1]"),
         (lambda d: d.update(variables=["x", "\u00e9"]), "variables[1]: expected an identifier"),
         (lambda d: d.update(pieces=[[[1, 2], [2]]]), "pieces[0][1]"),
+        (lambda d: d.update(format_version=2), "format_version: unsupported version 2"),
+        (lambda d: d.update(variables=[]), "variables: must be nonempty"),
+        (lambda d: d.update(ideals=[]), "ideals: must be nonempty"),
+        (lambda d: d.update(ideals=[["x", 1]]), "ideals[0][1]: expected a monomial string"),
+        (lambda d: d.update(ideals=[["x"], ["y"]]),
+         "pieces: expected 2 piece lists (one per ideal), got 1"),
     ],
 )
 def test_spec_format_errors(mutate, fragment):
@@ -429,6 +455,13 @@ def test_spec_format_errors(mutate, fragment):
     with pytest.raises(SpecFormatError, match=None) as info:
         load_fan_algebra_spec(json.dumps(payload))
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["[]", "1", '"spec"', "null"])
+def test_spec_top_level_must_be_an_object(text):
+    with pytest.raises(SpecFormatError) as info:
+        load_fan_algebra_spec(text)
+    assert str(info.value) == "top level: expected an object"
 
 
 def test_spec_invalid_json_reports_position():

@@ -201,6 +201,25 @@ def test_asymptotic_limits_requires_equal_radicals():
         asymptotic_limits((1, 0), (1, 2))
 
 
+@pytest.mark.parametrize(
+    "a,b,message",
+    [
+        ((1.5, 2), (1, 1), "a entries must be nonnegative integers, got 1.5"),
+        ((True, 2), (1, 1), "a entries must be nonnegative integers, got True"),
+        ((1, 2), (1, "1"), "b entries must be nonnegative integers, got '1'"),
+        ((-1, 2), (1, 1), "radicals differ: all exponents must be positive"),
+        ((1, 2), (0, 1), "radicals differ: all exponents must be positive"),
+        ((1.5, 0), (1, 1), "radicals differ: all exponents must be positive"),
+        ((0, 2), (1, 1, 1), "exponent vectors must have the same length"),
+        ((), (), "a must be nonempty"),
+    ],
+)
+def test_asymptotic_limits_checks_entries_like_the_library(a, b, message):
+    with pytest.raises(ValueError) as info:
+        asymptotic_limits(a, b)
+    assert str(info.value) == message
+
+
 def test_asymptotic_limit_matches_divisibility_oracle():
     a, b = (5, 2), (2, 3)
     limits = asymptotic_limits(a, b)

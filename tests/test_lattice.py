@@ -8,11 +8,9 @@ from conealg import (
     LatticePoint2,
     build_fan,
     cone,
-    det,
     hilbert_basis,
-    primitive,
 )
-from conealg.lattice import decompose_over, slope_descending
+from conealg.lattice import decompose_over, det, primitive, slope_descending
 from oracles import (
     all_decompositions,
     brute_irreducibles,

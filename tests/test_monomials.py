@@ -8,7 +8,6 @@ from conealg import (
     MonomialIdeal,
     MonomialParseError,
     PowerCapError,
-    default_variables,
     format_monomial,
     ideal_power,
     ideal_product,
@@ -16,8 +15,8 @@ from conealg import (
     parse_monomial,
     principal_cap_maximal_power,
     principal_intersection,
-    unit_monomial,
 )
+from conealg.monomials import default_variables, unit_monomial
 from oracles import brute_intersection, brute_minimal_generators, divides
 
 M = Monomial
@@ -61,12 +60,40 @@ def test_natural_number_parameters_share_one_check():
         (lambda: principal_intersection((1,), (1,), 0, True), "s", True),
         (lambda: principal_cap_maximal_power(2, f, "1", 0), "r", "1"),
         (lambda: principal_cap_maximal_power(2, f, 1, -2), "s", -2),
+        (lambda: MonomialIdeal(-1), "nvars", -1),
+        (lambda: MonomialIdeal(True, [M((1,))]), "nvars", True),
+        (lambda: maximal_ideal(-2), "nvars", -2),
+        (lambda: maximal_ideal(2.0), "nvars", 2.0),
+        (lambda: unit_monomial(-1), "nvars", -1),
+        (lambda: default_variables(-1), "n", -1),
+        (lambda: default_variables(True), "n", True),
     ]
     for call, name, value in cases:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == f"{name} must be a nonnegative integer, got {value!r}"
     assert f**1 == f and f**0 == unit_monomial(2)
+
+
+@pytest.mark.parametrize("cap", [0, -1, 2.5, True, "10"])
+def test_passed_cap_must_be_a_positive_int(cap):
+    message = f"max_candidates must be a positive integer, got {cap!r}"
+    with pytest.raises(ValueError) as info:
+        ideal_power(maximal_ideal(2), 2, cap)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        ideal_product(maximal_ideal(2), maximal_ideal(2), cap)
+    assert str(info.value) == message
+
+
+def test_ideal_is_frozen_and_compares_by_arity_and_generators():
+    a = ideal((1, 0), (0, 1))
+    with pytest.raises(AttributeError):
+        a.gens = frozenset()
+    assert not hasattr(a, "__dict__")
+    assert a == maximal_ideal(2) and hash(a) == hash(maximal_ideal(2))
+    assert MonomialIdeal(2) != MonomialIdeal(3) and a != a.gens
+    assert repr(a) == "MonomialIdeal(2, [Monomial(exponents=(0, 1)), Monomial(exponents=(1, 0))])"
 
 
 def test_ideal_minimal_normal_form():

@@ -20,12 +20,12 @@ from conealg import (
     fan_algebra_generators,
     intersection_as_fan_algebra,
     intersection_generators,
-    locate,
     maximal_ideal,
     principal_cap_algebra,
     verify_fan_algebra,
     verify_generation,
 )
+from conealg.fans import locate
 from conealg.generators import _verify_grid
 from conealg.monomials import PowerCapError
 from oracles import (
@@ -267,9 +267,11 @@ def test_verify_fan_algebra_matches_per_cell_reference(spec_and_grid, kind, pick
             tuple(FanLinearFunction(fan, f.pieces) for f in spec.functions),
         )
     cap = 100_000
-    assert _outcome(verify_fan_algebra, spec, gens, r_max, s_max, cap) == _outcome(
-        reference_verify_fan_algebra, spec, gens, r_max, s_max, cap
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CONEALG_MAX_CANDIDATES", str(cap))
+        assert _outcome(verify_fan_algebra, spec, gens, r_max, s_max) == _outcome(
+            reference_verify_fan_algebra, spec, gens, r_max, s_max, cap
+        )
 
 
 # Pairs whose fans have several cones on the ray (1,0) (entries a_k = 0),
@@ -308,3 +310,32 @@ def test_row_walk_matches_locate_and_bisection(a, b, r_max, s_max):
     assert visits == [
         (locate(fan, P(r, s)), r, s) for r in range(r_max + 1) for s in range(s_max + 1)
     ]
+
+
+def _verify_intersection(r_max, s_max):
+    gens = intersection_generators((5, 2), (2, 3))
+    return verify_generation((5, 2), (2, 3), gens, r_max, s_max)
+
+
+def _verify_spec(r_max, s_max):
+    spec = intersection_as_fan_algebra((5, 2), (2, 3))
+    return verify_fan_algebra(spec, fan_algebra_generators(spec), r_max, s_max)
+
+
+@pytest.mark.parametrize("verify", [_verify_intersection, _verify_spec])
+@pytest.mark.parametrize(
+    "r_max,s_max,message",
+    [
+        (2.5, 2, "grid bounds must be integers, got 2.5"),
+        (1, 1.5, "grid bounds must be integers, got 1.5"),
+        (True, 2, "grid bounds must be integers, got True"),
+        (2, "3", "grid bounds must be integers, got '3'"),
+        (None, 2, "grid bounds must be integers, got None"),
+        (-1, 2, "grid bounds must be nonnegative"),
+        (2, -1, "grid bounds must be nonnegative"),
+    ],
+)
+def test_both_verifiers_check_the_grid_bounds_first(verify, r_max, s_max, message):
+    with pytest.raises(ValueError) as info:
+        verify(r_max, s_max)
+    assert str(info.value) == message

@@ -52,6 +52,13 @@ EXTRAS = [
     ["verify", "--a", "5,2", "--b", "2,3", "--rmax", "-1", "--smax", "3"],
     ["generators", "--a", "5,2", "--b", "2,3,1"],
     ["fan", "--a", "0,0", "--b", "1,2"],
+    # no pool calls limits: its answers, and its checks of zero and negative
+    # entries and of unequal lengths
+    ["limits", "--a", "5,2,7", "--b", "2,3,7"],
+    ["limits", "--a", "5,2,7", "--b", "2,3,7", "--format", "json"],
+    ["limits", "--a", "5,0", "--b", "2,3"],
+    ["limits", "--a=-1,2", "--b", "2,3"],
+    ["limits", "--a", "0,2", "--b", "2,3,1"],
 ]
 # build_fan fan-orders its input: an unordered pair and one with a both-zero column
 for pair in (["--a", "2,5", "--b", "3,2"], ["--a", "1,0,5", "--b", "2,0,1"]):
