@@ -87,7 +87,9 @@ def check_fan_linear(
     its own cone (only values on the cone matter).
     """
     normalized = []
-    for pair in pieces:
+    for i, pair in enumerate(pieces):
+        if len(pair) != 2:
+            raise ValueError(f"piece {i}: expected a pair (alpha, beta), got {len(pair)} entries")
         alpha, beta = pair
         for x in (alpha, beta):
             if not isinstance(x, int) or isinstance(x, bool):
@@ -197,7 +199,9 @@ def _component_on_cone(
 def graded_component(spec: FanAlgebraSpec, r: int, s: int) -> MonomialIdeal:
     """The (r, s) component I_1^{f_1(r,s)} ... I_n^{f_n(r,s)} as a monomial
     ideal, from the powers the spec keeps."""
-    p = LatticePoint2(r, s)
+    _natural("r", r)
+    _natural("s", s)
+    p = _point(r, s)
     return _component_on_cone(spec, locate(spec.fan, p), p, _candidate_cap())
 
 

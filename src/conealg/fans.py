@@ -17,12 +17,17 @@ from .lattice import Cone2, LatticePoint2, _cone, _point, det, hilbert_basis
 from .monomials import _naturals
 
 
-def _check_exponent_vector(name: str, v: tuple[int, ...]) -> None:
-    if len(v) == 0:
-        raise ValueError(f"{name} must be nonempty")
-    _naturals(f"{name} entries", v)
-    if not any(v):
-        raise ValueError(f"{name} has no positive entry (the ideal would be the unit ideal)")
+def _check_pair(a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    """Raise ValueError unless a and b are exponent vectors of one length,
+    nonnegative ints (a bool is not), each with a positive entry."""
+    if len(a) != len(b):
+        raise ValueError("exponent vectors must have the same length")
+    for name, v in (("a", a), ("b", b)):
+        if len(v) == 0:
+            raise ValueError(f"{name} must be nonempty")
+        _naturals(f"{name} entries", v)
+        if not any(v):
+            raise ValueError(f"{name} has no positive entry (the ideal would be the unit ideal)")
 
 
 def fan_order(
@@ -36,10 +41,13 @@ def fan_order(
     original index sitting at fan position j.
     """
     a, b = tuple(a), tuple(b)
-    if len(a) != len(b):
-        raise ValueError("exponent vectors must have the same length")
-    _check_exponent_vector("a", a)
-    _check_exponent_vector("b", b)
+    _check_pair(a, b)
+    keep = _fan_permutation(a, b)
+    return tuple(a[i] for i in keep), tuple(b[i] for i in keep), keep
+
+
+def _fan_permutation(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """``fan_order``'s permutation of a pair that ``_check_pair`` accepts."""
     keep = [i for i in range(len(a)) if a[i] or b[i]]  # nonempty: a has a positive entry
 
     def cmp(i: int, j: int) -> int:
@@ -50,7 +58,7 @@ def fan_order(
         return 0
 
     keep.sort(key=cmp_to_key(cmp))
-    return tuple(a[i] for i in keep), tuple(b[i] for i in keep), tuple(keep)
+    return tuple(keep)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ reconstructs every graded component from the generators.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .fans import Fan, build_fan, fan_order
+from .fans import Fan, _check_pair, _fan_permutation, build_fan, fan_order
 from .lattice import LatticePoint2, _point
 from .monomials import BigradedMonomial, PowerCapError, _candidate_cap, principal_intersection
 
@@ -75,6 +76,15 @@ def _check_grid(r_max: int, s_max: int) -> None:
         raise ValueError("grid bounds must be nonnegative")
 
 
+def _grid_cells(r_max: int, s_max: int, max_candidates: Optional[int] = None) -> int:
+    """The number of cells of the grid, or PowerCapError if it passes the cap."""
+    total = (r_max + 1) * (s_max + 1)
+    cap = _candidate_cap(max_candidates)
+    if total > cap:
+        raise PowerCapError(f"grid too large: {total} cells exceed cap {cap}")
+    return total
+
+
 def _verify_grid(
     fan: Fan,
     available: Mapping[LatticePoint2, object],
@@ -98,10 +108,7 @@ def _verify_grid(
     (as ``locate`` does) and the pair, moving only towards index 0.  A grid
     of more cells than the candidate cap raises PowerCapError first; the
     public verifiers check the bounds with ``_check_grid``."""
-    total = (r_max + 1) * (s_max + 1)
-    cap = _candidate_cap(max_candidates)
-    if total > cap:
-        raise PowerCapError(f"grid too large: {total} cells exceed cap {cap}")
+    total = _grid_cells(r_max, s_max, max_candidates)
     lows = [(c.ray_low.r, c.ray_low.s) for c in fan.cones]
     chains = []  # per cone: element coordinates and values (None if absent), det 1 per pair
     for chain in fan.chains:
@@ -145,6 +152,68 @@ def _verify_grid(
     return VerificationReport(failures == 0, total, failures, first, reason)
 
 
+def _certified(
+    a: tuple[int, ...], b: tuple[int, ...], fan: Fan, packed: Mapping[LatticePoint2, int], size: int
+) -> bool:
+    """Whether ``packed``, the generators of ``verify_generation`` packed in
+    fields of ``size`` bytes, generate every component of the intersection
+    algebra of (x^a) and (x^b), read off ``fan`` without trusting it:
+
+    1. the cones run contiguously from the ray (0,1) to (1,0);
+    2. each chain runs from its cone's ray_high to its ray_low in N^2, with
+       det(l, h) = 1 for every step (h, l);
+    3. the ray primitive(b_k, a_k) of every column with a_k + b_k > 0 is a
+       chain element;
+    4. the generator at each distinct chain degree equals the oracle there.
+
+    By 1 and 2 the chains, end to end, split the quadrant into subcones of
+    determinant 1 in descending slope, and by 3 no column's ray is interior
+    to one, so max(r*a_k, s*b_k) is linear on each.  A cell p of such a
+    subcone (h, l) is det(p, h)*l + det(l, p)*h, so by 4 the product of the
+    generators the grid walk takes for p is the oracle at p: every cell of
+    every grid passes.  Columns and chain degrees are each visited once;
+    nothing is sorted.
+    """
+    cones, chains = fan.cones, fan.chains
+    if len(cones) != len(chains) or not all(chains):
+        return False
+    highs = [(c.ray_high.r, c.ray_high.s) for c in cones]
+    lows = [(c.ray_low.r, c.ray_low.s) for c in cones]
+    if highs != [(0, 1), *lows[:-1]] or lows[-1] != (1, 0):
+        return False
+    if [(ch[0].r, ch[0].s) for ch in chains] != highs:
+        return False
+    if [(ch[-1].r, ch[-1].s) for ch in chains] != lows:
+        return False
+    elements = [chains[0][0], *(e for chain in chains for e in chain[1:])]  # each joint once
+    points = [(e.r, e.s) for e in elements]
+    if min(map(min, points)) < 0:
+        return False
+    if any(lr * hs - ls * hr != 1 for (hr, hs), (lr, ls) in zip(points, points[1:])):
+        return False
+    # every oracle field at a chain degree must fit, or packed equality is not vector equality
+    width = 8 * size
+    if max(max(r for r, _ in points) * max(a), max(s for _, s in points) * max(b)) >> width:
+        return False
+    index = {p: t for t, p in enumerate(points)}  # distinct: the slopes descend
+    gained_a, lost_b = [0] * len(points), [0] * len(points)  # packed columns by ray position
+    for k, (x, y) in enumerate(zip(a, b)):
+        if x or y:
+            g = gcd(x, y)
+            t = index.get((y // g, x // g))
+            if t is None:
+                return False
+            gained_a[t] += x << width * k
+            lost_b[t] += y << width * k
+    # at points[t], columns whose ray is at position <= t (as steep or steeper) give r*a_k
+    below, above = 0, sum(lost_b)
+    for e, (r, s), da, db in zip(elements, points, gained_a, lost_b):
+        below, above = below + da, above - db
+        if packed.get(e) != r * below + s * above:
+            return False
+    return True
+
+
 def verify_generation(
     a: Sequence[int],
     b: Sequence[int],
@@ -154,6 +223,14 @@ def verify_generation(
 ) -> VerificationReport:
     """Check that every graded component on [0..r_max] x [0..s_max] is a
     product of the supplied generators.
+
+    First an all-degree certificate (``_certified``), in time independent of
+    the grid: if the chains of ``gens.fan`` subdivide the quadrant into
+    determinant-1 subcones on whose walls every column ray lies, and the
+    generators equal the componentwise-max oracle at every chain degree,
+    then the oracle is linear on each subcone and every cell of any grid is
+    the product the walk below would form, so the report is a pass.  If any
+    check fails, the grid is walked, and its report is the verdict.
 
     Row by row (see ``_verify_grid``), write each (r, s) along the bracketing
     unimodular pair of its cone's chain in ``gens.fan.chains``, add the
@@ -168,11 +245,12 @@ def verify_generation(
     chain coordinate)*(largest exponent).  Row r's oracle starts as
     r*pack(a); a pointer over the variables by ascending a_k/b_k
     (``fan_order`` reversed) moves each to s*b_k once s*b_k >= r*a_k.
-    Coefficients of another length raise ValueError.
+    Coefficients of another length raise ValueError; a grid of more cells
+    than the candidate cap raises PowerCapError, certified or not.
     """
     _check_grid(r_max, s_max)
     a, b = tuple(a), tuple(b)
-    order = fan_order(a, b)[2][::-1]  # checks a and b; ratio a_k/b_k ascending
+    _check_pair(a, b)
     coeffs = {bm.degree: bm.coeff.exponents for bm in gens.generators}
     for degree, v in coeffs.items():
         if len(v) != len(a):
@@ -187,8 +265,10 @@ def verify_generation(
         return int.from_bytes(b"".join(fields), "little")
 
     packed = {degree: pack(v) for degree, v in coeffs.items()}
+    if _certified(a, b, gens.fan, packed, size):
+        return VerificationReport(True, _grid_cells(r_max, s_max), 0, None, None)
     columns = []  # [a_k, b_k, a and b packed on the columns of ratio a_k/b_k], ascending
-    for k in order:
+    for k in _fan_permutation(a, b)[::-1]:
         if not columns or columns[-1][0] * b[k] != a[k] * columns[-1][1]:
             columns.append([a[k], b[k], 0, 0])
         columns[-1][2] += a[k] << 8 * size * k

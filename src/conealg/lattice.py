@@ -157,11 +157,15 @@ def hilbert_basis(c: Cone2) -> HilbertBasis2:
     into nonzero cone points stay inside the parallelogram (their ray
     coefficients can only shrink), so irreducibility is decided by scanning
     pairwise sums of parallelogram points.  A degenerate cone has the
-    singleton basis consisting of its primitive ray.  The elements are
-    returned sorted by slope, steepest first.
+    singleton basis consisting of its primitive ray, and a unimodular cone
+    (det 1: its rays are a lattice basis, so the parallelogram holds no other
+    point) the basis (ray_high, ray_low), both without a scan.  The elements
+    are returned sorted by slope, steepest first.
     """
     if c.is_degenerate:
         return HilbertBasis2((c.ray_low,))
+    if det(c.ray_low, c.ray_high) == 1:
+        return HilbertBasis2((c.ray_high, c.ray_low))
     points = _parallelogram_points(c)
     point_set = set(points)
 

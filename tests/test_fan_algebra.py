@@ -86,6 +86,20 @@ def test_rejects_wrong_piece_count():
         check_fan_linear(DIAGONAL_FAN, ((1, 2),))
 
 
+@pytest.mark.parametrize(
+    "pieces,message",
+    [
+        (((1, 2, 3), (2, 1)), "piece 0: expected a pair (alpha, beta), got 3 entries"),
+        (((1, 2), (2,)), "piece 1: expected a pair (alpha, beta), got 1 entries"),
+        ([(1, 2, 3)] * 2, "piece 0: expected a pair (alpha, beta), got 3 entries"),
+    ],
+)
+def test_rejects_a_piece_that_is_not_a_pair(pieces, message):
+    with pytest.raises(ValueError) as info:
+        check_fan_linear(DIAGONAL_FAN, pieces)
+    assert str(info.value) == message
+
+
 def test_negative_coefficients_allowed_when_nonnegative_on_cone():
     fan = build_fan((2,), (1,))
     f = check_fan_linear(fan, ((-2, 1), (0, 0)))
@@ -292,6 +306,22 @@ def test_graded_component_examples():
     assert graded_component(spec, 2, 3) == MonomialIdeal(2, [M((4, 9))])
     assert graded_component(spec, 0, 0) == MonomialIdeal(2, [M((0, 0))])
     assert graded_component(diagonal_spec(), 1, 2) == ideal_power(maximal_ideal(2), 5)
+
+
+@pytest.mark.parametrize(
+    "r,s,message",
+    [
+        (1.5, 0, "r must be a nonnegative integer, got 1.5"),
+        (True, 0, "r must be a nonnegative integer, got True"),
+        (0, -1, "s must be a nonnegative integer, got -1"),
+        (2, "3", "s must be a nonnegative integer, got '3'"),
+    ],
+)
+def test_graded_component_rejects_a_bad_degree_with_value_error(r, s, message):
+    spec = intersection_as_fan_algebra((5, 2), (2, 3))
+    with pytest.raises(ValueError) as info:
+        graded_component(spec, r, s)
+    assert str(info.value) == message
 
 
 def test_verify_fan_algebra_passes():

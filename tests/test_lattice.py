@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from conealg import (
     Cone2,
@@ -145,6 +145,45 @@ def test_hilbert_basis_pure_function():
     c2 = cone(P(2, 5), P(3, 2))
     assert c1 == c2
     assert hilbert_basis(c1) == hilbert_basis(c2)
+
+
+@st.composite
+def unimodular_rays(draw, limit):
+    """(ray_low, ray_high) with det 1 and entries <= limit: from (1,0) and
+    (0,1), each step adds k times one ray to the other, keeping det 1."""
+    low, high = (1, 0), (0, 1)
+    steps = st.tuples(st.booleans(), st.integers(1, limit))
+    for to_low, k in draw(st.lists(steps, max_size=12)):
+        if to_low:
+            new = (low[0] + k * high[0], low[1] + k * high[1])
+            low = new if max(new) <= limit else low
+        else:
+            new = (high[0] + k * low[0], high[1] + k * low[1])
+            high = new if max(new) <= limit else high
+    return P(*low), P(*high)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rays=unimodular_rays(10**6))
+@example(rays=(P(1, 0), P(999_999, 1)))
+@example(rays=(P(999_999, 1_000_000), P(999_998, 999_999)))
+def test_unimodular_hilbert_basis_is_its_two_rays_without_a_scan(deadline, rays):
+    """A det-1 cone's parallelogram holds no lattice point but its corners,
+    so its chain is (ray_high, ray_low); with entries up to 10**6 a scan of
+    the parallelogram's box could not finish."""
+    low, high = rays
+    c = Cone2(low, high)
+    assert det(low, high) == 1
+    with deadline(1):
+        elements = hilbert_basis(c).elements
+    assert elements == ((high, low) if low != high else (low,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(unimodular_rays(30))
+def test_unimodular_hilbert_basis_matches_brute_force(rays):
+    c = Cone2(*rays)
+    assert set(hilbert_basis(c).elements) == brute_irreducibles(c)
 
 
 @pytest.mark.parametrize("u,w", SAMPLE_RAY_PAIRS)

@@ -1,6 +1,8 @@
 """The grid verifiers' row walk against the per-cell reference loop of
 ``oracles.reference_verify_grid`` (``locate`` and ``unimodular_decomposition``
-for every cell), on intact and tampered generators and Hilbert chains."""
+for every cell), on intact and tampered generators, Hilbert chains and cones;
+and ``verify_generation``'s all-degree certificate, which must hold on every
+intact input and fail on every tampered one, leaving the verdict to the walk."""
 
 from types import SimpleNamespace
 
@@ -18,15 +20,19 @@ from conealg import (
     build_fan,
     check_fan_linear,
     fan_algebra_generators,
+    hilbert_basis,
     intersection_as_fan_algebra,
     intersection_generators,
     maximal_ideal,
     principal_cap_algebra,
+    principal_intersection,
     verify_fan_algebra,
     verify_generation,
 )
+from conealg import generators
 from conealg.fans import locate
 from conealg.generators import _verify_grid
+from conealg.lattice import _cone
 from conealg.monomials import PowerCapError
 from oracles import (
     reference_verify_fan_algebra,
@@ -37,7 +43,13 @@ from oracles import (
 P = LatticePoint2
 M = Monomial
 
-TAMPERINGS = ("none", "drop", "square", "interior", "no_low", "reversed")
+# Tamperings of generators and chains, which both verifiers are checked on.
+CHAIN_TAMPERINGS = ("none", "drop", "square", "interior", "no_low", "reversed", "moved_high")
+# Those of verify_generation add: a dropped cone, a cone with its rays
+# swapped, a fan missing a column's ray (a "foreign" fan, whose generators
+# still match the oracle at its chain degrees), and a generator altered only
+# at a degree outside the grid.
+TAMPERINGS = CHAIN_TAMPERINGS + ("no_cone", "swapped", "foreign", "outside")
 
 
 def _tamper_generators(gens, kind, pick):
@@ -53,8 +65,10 @@ def _tamper_generators(gens, kind, pick):
 
 def _tamper_chains(chains, kind, pick):
     """Remove an interior element of one chain (a det-2 step), drop its
-    ray_low, or reverse it; None when no chain is long enough."""
-    needs = {"interior": 3, "no_low": 1, "reversed": 2}[kind]
+    ray_low, reverse it, or move its first element h to h + e, e the next
+    one (the step stays det 1, but the chain no longer starts at ray_high);
+    None when no chain is long enough."""
+    needs = {"interior": 3, "no_low": 1, "reversed": 2, "moved_high": 2}[kind]
     long_enough = [i for i, chain in enumerate(chains) if len(chain) >= needs]
     if not long_enough:
         return None
@@ -65,6 +79,8 @@ def _tamper_chains(chains, kind, pick):
         chain = chain[:k] + chain[k + 1 :]
     elif kind == "no_low":
         chain = chain[:-1]
+    elif kind == "moved_high":
+        chain = (chain[0] + chain[1],) + chain[1:]
     else:
         chain = chain[::-1]
     return chains[:i] + (chain,) + chains[i + 1 :]
@@ -72,11 +88,86 @@ def _tamper_chains(chains, kind, pick):
 
 def _tampered_fan(fan, kind, pick):
     """A stand-in for ``fan`` with one chain tampered, or ``fan`` itself."""
-    if kind not in ("interior", "no_low", "reversed"):
+    if kind not in ("interior", "no_low", "reversed", "moved_high"):
         return fan
     chains = _tamper_chains(fan.chains, kind, pick)
     assume(chains is not None)
     return SimpleNamespace(cones=fan.cones, chains=chains)
+
+
+def _nondegenerate(fan, pick):
+    """The index of one cone of ``fan`` whose rays differ, not the last one:
+    the per-cell reference's ``locate`` needs the ray_low (1,0) it ends on."""
+    spread = [i for i, c in enumerate(fan.cones[:-1]) if c.ray_low != c.ray_high]
+    assume(spread)
+    return spread[pick % len(spread)]
+
+
+def _without_a_ray(a, b, fan, pick):
+    """A stand-in for ``fan`` without one column ray q: the cones around q
+    merge, each chain is the merged cone's Hilbert basis, and the generators
+    equal the oracle at its chain degrees.  Only if q is then no chain
+    element does the oracle bend inside a cone; None if no ray qualifies."""
+    rays = [c.ray_high for c in fan.cones] + [fan.cones[-1].ray_low]
+    inner = list(dict.fromkeys(q for q in rays if q not in (P(0, 1), P(1, 0))))
+    if not inner:
+        return None
+    start = pick % len(inner)
+    for q in inner[start:] + inner[:start]:
+        rest = [x for x in rays if x != q]
+        cones = tuple(_cone(low, high) for high, low in zip(rest, rest[1:]))
+        chains = tuple(hilbert_basis(c).elements for c in cones)
+        if all(q not in chain for chain in chains):
+            degrees = dict.fromkeys(e for chain in chains for e in chain)
+            gens = tuple(
+                BigradedMonomial(principal_intersection(a, b, e.r, e.s), e) for e in degrees
+            )
+            return GeneratorSet(gens, SimpleNamespace(cones=cones, chains=chains))
+    return None
+
+
+def _tampered(a, b, gs, kind, pick, r_max, s_max):
+    """``(gens, r_max, s_max)``: the generator set ``gs`` of (a, b) with one
+    tampering of ``TAMPERINGS`` (``gs`` itself for "none"), and the grid."""
+    fan = gs.fan
+    if kind in CHAIN_TAMPERINGS:
+        gens = GeneratorSet(
+            _tamper_generators(gs.generators, kind, pick), _tampered_fan(fan, kind, pick)
+        )
+    elif kind == "no_cone":
+        i = _nondegenerate(fan, pick)
+        cones, chains = fan.cones[:i] + fan.cones[i + 1 :], fan.chains[:i] + fan.chains[i + 1 :]
+        gens = GeneratorSet(gs.generators, SimpleNamespace(cones=cones, chains=chains))
+    elif kind == "swapped":
+        i = _nondegenerate(fan, pick)
+        swapped = _cone(fan.cones[i].ray_high, fan.cones[i].ray_low)
+        cones = fan.cones[:i] + (swapped,) + fan.cones[i + 1 :]
+        gens = GeneratorSet(gs.generators, SimpleNamespace(cones=cones, chains=fan.chains))
+    elif kind == "foreign":
+        gens = _without_a_ray(a, b, fan, pick)
+        assume(gens is not None)
+    else:  # "outside": square the generator at a degree e, and keep e off the grid
+        k = pick % len(gs.generators)
+        e = gs.generators[k].degree
+        if e.r <= r_max and e.s <= s_max:
+            r_max, s_max = (e.r - 1, s_max) if e.r else (r_max, e.s - 1)
+        gens = GeneratorSet(_tamper_generators(gs.generators, "square", k), fan)
+    return gens, r_max, s_max
+
+
+def _walked(a, b, gens, r_max, s_max):
+    """``verify_generation``'s outcome, and whether it walked the grid,
+    which it does exactly when its certificate fails."""
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return _verify_grid(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "_verify_grid", counted)
+        outcome = _outcome(verify_generation, a, b, gens, r_max, s_max)
+    return outcome, bool(walks)
 
 
 def _outcome(verify, *args):
@@ -100,13 +191,10 @@ grid = st.integers(0, 15)
 @given(pairs, grid, grid, st.sampled_from(TAMPERINGS), st.integers(0, 10**6))
 def test_verify_generation_matches_per_cell_reference(ab, r_max, s_max, kind, pick):
     a, b = ab
-    gs = intersection_generators(a, b)
-    gens = GeneratorSet(
-        _tamper_generators(gs.generators, kind, pick), _tampered_fan(gs.fan, kind, pick)
-    )
-    assert _outcome(verify_generation, a, b, gens, r_max, s_max) == _outcome(
-        reference_verify_generation, a, b, gens, r_max, s_max
-    )
+    gens, r_max, s_max = _tampered(a, b, intersection_generators(a, b), kind, pick, r_max, s_max)
+    outcome, walked = _walked(a, b, gens, r_max, s_max)
+    assert outcome == _outcome(reference_verify_generation, a, b, gens, r_max, s_max)
+    assert walked == (kind != "none")
 
 
 @st.composite
@@ -172,12 +260,10 @@ def test_packed_verifier_matches_reference_on_wide_and_large_pairs(ab, r_max, s_
         width = _field_width(a, b, gs, r_max, s_max)
         gens = GeneratorSet(_carry(gs.generators, width, pick), gs.fan)
     else:
-        gens = GeneratorSet(
-            _tamper_generators(gs.generators, kind, pick), _tampered_fan(gs.fan, kind, pick)
-        )
-    assert _outcome(verify_generation, a, b, gens, r_max, s_max) == _outcome(
-        reference_verify_generation, a, b, gens, r_max, s_max
-    )
+        gens, r_max, s_max = _tampered(a, b, gs, kind, pick, r_max, s_max)
+    outcome, walked = _walked(a, b, gens, r_max, s_max)
+    assert outcome == _outcome(reference_verify_generation, a, b, gens, r_max, s_max)
+    assert walked == (kind != "none")
 
 
 def test_product_fields_past_the_generator_width_do_not_carry():
@@ -255,7 +341,7 @@ specs_and_grids = st.one_of(
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(specs_and_grids, st.sampled_from(TAMPERINGS), st.integers(0, 10**6))
+@given(specs_and_grids, st.sampled_from(CHAIN_TAMPERINGS), st.integers(0, 10**6))
 def test_verify_fan_algebra_matches_per_cell_reference(spec_and_grid, kind, pick):
     spec, r_max, s_max = spec_and_grid
     gens = _tamper_generators(fan_algebra_generators(spec), kind, pick)
@@ -339,3 +425,43 @@ def test_both_verifiers_check_the_grid_bounds_first(verify, r_max, s_max, messag
     with pytest.raises(ValueError) as info:
         verify(r_max, s_max)
     assert str(info.value) == message
+
+
+def test_certified_generators_pass_a_large_grid_without_walking_it(deadline):
+    """The certificate's cost does not grow with the grid: 10**6 cells, the
+    default cap, answer in far less than a walk over them takes."""
+    gs = intersection_generators((5, 2), (2, 3))
+    with deadline(0.5):
+        report = verify_generation((5, 2), (2, 3), gs, 999, 999)
+    assert report.summary() == "PASS 1000000/1000000 components"
+
+
+@pytest.mark.parametrize("kind", ["none", "drop"])
+def test_grid_cap_applies_whether_certified_or_walked(kind, monkeypatch):
+    """A certified set and a set whose certificate fails raise the same
+    PowerCapError for a grid past the cap, and pass at the cap."""
+    a, b = (5, 2), (2, 3)
+    gens, _, _ = _tampered(a, b, intersection_generators(a, b), kind, 0, 0, 0)
+    monkeypatch.setenv("CONEALG_MAX_CANDIDATES", "30")
+    with pytest.raises(PowerCapError) as info:
+        verify_generation(a, b, gens, 5, 5)
+    assert str(info.value) == "grid too large: 36 cells exceed cap 30"
+    assert _walked(a, b, gens, 4, 5) == (
+        _outcome(reference_verify_generation, a, b, gens, 4, 5), kind != "none"
+    )
+
+
+def test_certificate_needs_every_oracle_field_to_fit_the_width():
+    """a = (256, 1), b = (0, 1) on the 1x1 grid: 8-bit fields hold every
+    generator below, but not the oracle (256, 1) at the degrees (1, 1) and
+    (1, 0), which packs as the generator (0, 2) there does.  The walk passes,
+    since the cell (0, 0) uses no generator; the certificate must not."""
+    a, b = (256, 1), (0, 1)
+    gs = intersection_generators(a, b)
+    alias = {P(1, 1): M((0, 2)), P(1, 0): M((0, 2))}
+    gens = GeneratorSet(
+        tuple(BigradedMonomial(alias.get(g.degree, g.coeff), g.degree) for g in gs.generators),
+        gs.fan,
+    )
+    assert [g.degree for g in gs.generators] == [P(0, 1), P(1, 1), P(1, 0)]
+    assert _walked(a, b, gens, 0, 0) == ((True, 1, 0, None, None), True)

@@ -37,6 +37,12 @@ EXTRAS = [
     ["verify", "--a", "5,0,3", "--b", "2,4,0", "--rmax", "10", "--smax", "10"],
     ["verify", "--a", WIDE_A, "--b", WIDE_B, "--rmax", "12", "--smax", "12"],
     ["verify", "--a", "5,2", "--b", "2,3", "--rmax", "0", "--smax", "9"],
+    # the certificate's answers: the largest grid under the default cap, one
+    # past it (exit 3), JSON output, and repeated ratios (degenerate cones)
+    ["verify", "--a", "5,2", "--b", "2,3", "--rmax", "999", "--smax", "999"],
+    ["verify", "--a", "5,2", "--b", "2,3", "--rmax", "1000", "--smax", "999"],
+    ["verify", "--a", "5,2", "--b", "2,3", "--rmax", "6", "--smax", "4", "--format", "json"],
+    ["verify", "--a", "2,4,6", "--b", "1,2,3", "--rmax", "9", "--smax", "9"],
     ["fan", "--a", "5,2", "--b", "2,3", "--format", "svg"],
     ["fan", "--a", "1,1", "--b", "1,1", "--format", "svg"],
     ["fan", "--a", "7,5,3,1", "--b", "1,2,4,6", "--format", "svg"],
