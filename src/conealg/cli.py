@@ -95,13 +95,9 @@ def _grid(text: str) -> tuple[int, int]:
 
 
 def _infer_variables(*texts: str) -> tuple[str, ...]:
-    seen: list[str] = []
-    for text in texts:
-        for match in _IDENT.finditer(text):
-            if match.group(0) not in seen:
-                seen.append(match.group(0))
+    seen = tuple(dict.fromkeys(m.group(0) for text in texts for m in _IDENT.finditer(text)))
     check_variable_names(seen)
-    return tuple(seen)
+    return seen
 
 
 def _json_dumps(payload: dict) -> str:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .fans import Fan, _check_pair, _fan_permutation, build_fan, fan_order
 from .lattice import LatticePoint2, _point
-from .monomials import BigradedMonomial, PowerCapError, _candidate_cap, principal_intersection
+from .monomials import BigradedMonomial, PowerCapError, _candidate_cap, _max_exponents, _monomial
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ def intersection_generators(a: Sequence[int], b: Sequence[int]) -> GeneratorSet:
     the original variable order, so no output remapping is needed.
     """
     a, b = tuple(a), tuple(b)
-    fan = build_fan(a, b)
-    gens = (BigradedMonomial(principal_intersection(a, b, p.r, p.s), p) for p in fan.degrees)
+    fan = build_fan(a, b)  # checks the pair
+    gens = (BigradedMonomial(_monomial(_max_exponents(a, b, p.r, p.s)), p) for p in fan.degrees)
     return GeneratorSet(tuple(gens), fan)
 
 
@@ -153,26 +153,31 @@ def _verify_grid(
 
 
 def _certified(
-    a: tuple[int, ...], b: tuple[int, ...], fan: Fan, packed: Mapping[LatticePoint2, int], size: int
+    a: tuple[int, ...],
+    b: tuple[int, ...],
+    fan: Fan,
+    coeffs: Mapping[LatticePoint2, tuple[int, ...]],
 ) -> bool:
-    """Whether ``packed``, the generators of ``verify_generation`` packed in
-    fields of ``size`` bytes, generate every component of the intersection
-    algebra of (x^a) and (x^b), read off ``fan`` without trusting it:
+    """Whether ``coeffs``, the generators' exponent tuples by degree,
+    generate every component of the intersection algebra of (x^a) and (x^b),
+    read off ``fan`` without trusting it:
 
     1. the cones run contiguously from the ray (0,1) to (1,0);
     2. each chain runs from its cone's ray_high to its ray_low in N^2, with
        det(l, h) = 1 for every step (h, l);
     3. the ray primitive(b_k, a_k) of every column with a_k + b_k > 0 is a
        chain element;
-    4. the generator at each distinct chain degree equals the oracle there.
+    4. the generator at each distinct chain degree (r, s) has the exponents
+       ``_max_exponents(a, b, r, s)``.
 
     By 1 and 2 the chains, end to end, split the quadrant into subcones of
     determinant 1 in descending slope, and by 3 no column's ray is interior
     to one, so max(r*a_k, s*b_k) is linear on each.  A cell p of such a
     subcone (h, l) is det(p, h)*l + det(l, p)*h, so by 4 the product of the
     generators the grid walk takes for p is the oracle at p: every cell of
-    every grid passes.  Columns and chain degrees are each visited once;
-    nothing is sorted.
+    every grid passes.  Columns and chain degrees are each visited once, and
+    each degree costs one exponent-tuple comparison; nothing is sorted or
+    packed.
     """
     cones, chains = fan.cones, fan.chains
     if len(cones) != len(chains) or not all(chains):
@@ -191,27 +196,10 @@ def _certified(
         return False
     if any(lr * hs - ls * hr != 1 for (hr, hs), (lr, ls) in zip(points, points[1:])):
         return False
-    # every oracle field at a chain degree must fit, or packed equality is not vector equality
-    width = 8 * size
-    if max(max(r for r, _ in points) * max(a), max(s for _, s in points) * max(b)) >> width:
+    rays = {(y // g, x // g) for x, y in zip(a, b) if (g := gcd(x, y))}  # a_k + b_k > 0
+    if not rays.issubset(points):
         return False
-    index = {p: t for t, p in enumerate(points)}  # distinct: the slopes descend
-    gained_a, lost_b = [0] * len(points), [0] * len(points)  # packed columns by ray position
-    for k, (x, y) in enumerate(zip(a, b)):
-        if x or y:
-            g = gcd(x, y)
-            t = index.get((y // g, x // g))
-            if t is None:
-                return False
-            gained_a[t] += x << width * k
-            lost_b[t] += y << width * k
-    # at points[t], columns whose ray is at position <= t (as steep or steeper) give r*a_k
-    below, above = 0, sum(lost_b)
-    for e, (r, s), da, db in zip(elements, points, gained_a, lost_b):
-        below, above = below + da, above - db
-        if packed.get(e) != r * below + s * above:
-            return False
-    return True
+    return all(coeffs.get(e) == _max_exponents(a, b, e.r, e.s) for e in elements)
 
 
 def verify_generation(
@@ -226,11 +214,13 @@ def verify_generation(
 
     First an all-degree certificate (``_certified``), in time independent of
     the grid: if the chains of ``gens.fan`` subdivide the quadrant into
-    determinant-1 subcones on whose walls every column ray lies, and the
-    generators equal the componentwise-max oracle at every chain degree,
-    then the oracle is linear on each subcone and every cell of any grid is
-    the product the walk below would form, so the report is a pass.  If any
-    check fails, the grid is walked, and its report is the verdict.
+    determinant-1 subcones on whose walls every column ray lies, and each
+    generator at a chain degree has the componentwise-max exponents there
+    (one exponent-tuple comparison per degree), then the oracle is linear
+    on each subcone and every cell of any grid is the product the walk below
+    would form, so the report is a pass.  If any check fails, the
+    generators are packed and the grid is walked, and its report is the
+    verdict; a passing certificate packs nothing.
 
     Row by row (see ``_verify_grid``), write each (r, s) along the bracketing
     unimodular pair of its cone's chain in ``gens.fan.chains``, add the
@@ -238,13 +228,13 @@ def verify_generation(
     with their multiplicities, and compare with the componentwise-max oracle,
     computed exactly for every cell.  Failures are reported, never raised.
 
-    Each vector v is packed as the integer sum of v_k << (w*k), w a whole
-    number of bytes, and a cell compares two integers.  No field carries: an
-    oracle field is at most max(r_max*max a, s_max*max b), a product field
-    (negative multiplicities fail first) at most (r_max + s_max)*(largest
-    chain coordinate)*(largest exponent).  Row r's oracle starts as
-    r*pack(a); a pointer over the variables by ascending a_k/b_k
-    (``fan_order`` reversed) moves each to s*b_k once s*b_k >= r*a_k.
+    For the walk each vector v is packed as the integer sum of v_k << (w*k),
+    w a whole number of bytes, and a cell compares two integers.  No field
+    carries: an oracle field is at most max(r_max*max a, s_max*max b), a
+    product field (negative multiplicities fail first) at most
+    (r_max + s_max)*(largest chain coordinate)*(largest exponent).  Row r's
+    oracle starts as r*pack(a); a pointer over the variables by ascending
+    a_k/b_k (``fan_order`` reversed) moves each to s*b_k once s*b_k >= r*a_k.
     Coefficients of another length raise ValueError; a grid of more cells
     than the candidate cap raises PowerCapError, certified or not.
     """
@@ -255,6 +245,8 @@ def verify_generation(
     for degree, v in coeffs.items():
         if len(v) != len(a):
             raise ValueError(f"generator at degree {degree} has {len(v)} exponents, expected {len(a)}")
+    if _certified(a, b, gens.fan, coeffs):
+        return VerificationReport(True, _grid_cells(r_max, s_max), 0, None, None)
     reach = max((max(e.r, e.s) for chain in gens.fan.chains for e in chain), default=0)
     largest = max(map(max, coeffs.values()), default=0)
     bound = max(r_max * max(a), s_max * max(b), largest, (r_max + s_max) * reach * largest)
@@ -265,8 +257,6 @@ def verify_generation(
         return int.from_bytes(b"".join(fields), "little")
 
     packed = {degree: pack(v) for degree, v in coeffs.items()}
-    if _certified(a, b, gens.fan, packed, size):
-        return VerificationReport(True, _grid_cells(r_max, s_max), 0, None, None)
     columns = []  # [a_k, b_k, a and b packed on the columns of ratio a_k/b_k], ascending
     for k in _fan_permutation(a, b)[::-1]:
         if not columns or columns[-1][0] * b[k] != a[k] * columns[-1][1]:

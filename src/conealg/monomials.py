@@ -22,8 +22,7 @@ their number of cells.
 import os
 import re
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, le, mul
+from operator import add, le
 from typing import Iterable, Optional, Sequence
 
 from .lattice import LatticePoint2
@@ -70,14 +69,16 @@ def check_variable_names(names: Sequence[str]) -> None:
     """Raise ValueError, naming the position of the first bad name, unless
     every name is an identifier that monomial text can spell, the names are
     distinct, and none is u or v."""
+    seen = set()  # the names before position i, all of them good
     for i, name in enumerate(names):
         if not isinstance(name, str) or not _IDENT.fullmatch(name):
             problem = f"expected an identifier, got {name!r}"
-        elif name in names[:i]:
+        elif name in seen:
             problem = f"duplicate name {name!r}"
         elif name in GRADING_SYMBOLS:
             problem = "u and v name the grading and cannot be variables"
         else:
+            seen.add(name)
             continue
         raise ValueError(f"variables[{i}]: {problem}")
 
@@ -262,7 +263,13 @@ def principal_intersection(
     _natural("s", s)
     _naturals("a entries", a)
     _naturals("b entries", b)
-    return _monomial(tuple(map(max, map(mul, a, repeat(r)), map(mul, b, repeat(s)))))
+    return _monomial(_max_exponents(a, b, r, s))
+
+
+def _max_exponents(a: tuple[int, ...], b: tuple[int, ...], r: int, s: int) -> tuple[int, ...]:
+    """Componentwise max(r*a_k, s*b_k), unchecked: the exponents of the
+    generator of (x^a)^r cap (x^b)^s for a checked pair and degree."""
+    return tuple([x * r if x * r > y * s else y * s for x, y in zip(a, b)])
 
 
 @dataclass(frozen=True, order=True)

@@ -4,6 +4,7 @@ import io
 import json
 import re
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -410,15 +411,16 @@ def test_fan_algebra_verify_computes_each_power_once(tmp_path, capsys, calls):
 
 def test_verify_computes_each_distinct_degree_once(capsys, calls):
     # the repeated ratio 5/2 gives a degenerate cone, so the degree (2,5)
-    # ends one chain, is the whole next one and starts a third
-    seen = calls("monomials.principal_intersection")
+    # ends one chain, is the whole next one and starts a third; yet each
+    # distinct degree's exponents are computed once to generate and once to
+    # certify
+    seen = calls("monomials._max_exponents")
     code, out, _ = run(capsys, "verify", "--a", "5,5,2", "--b", "2,2,3",
                        "--rmax", "6", "--smax", "6")
     assert code == 0 and out == "PASS 49/49 components\n"
     degrees = [LatticePoint2(r, s) for *_, r, s in seen]
-    assert len(set(degrees)) == len(degrees)
     chains = build_fan((5, 5, 2), (2, 2, 3)).chains
-    assert set(degrees) == {p for chain in chains for p in chain}
+    assert Counter(degrees) == {p: 2 for chain in chains for p in chain}
 
 
 def test_fan_algebra_missing_file(capsys):
@@ -532,6 +534,23 @@ def test_bad_variable_names_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert info.value.code == 2 and captured.out == ""
     assert f"argument --vars: {message}\n" in captured.err
+
+
+def test_many_variable_names_are_checked_in_linear_time(capsys, deadline):
+    """50,000 names, given with --vars or inferred from --ideal-i/--ideal-j,
+    are checked well within a second, and the bad name after them is named
+    by its position."""
+    names = [f"x{k}" for k in range(50_000)]
+    with deadline(1), pytest.raises(SystemExit) as info:
+        main(["generators", "--a", "1,2", "--b", "2,3", "--vars", ",".join(names + ["x7"])])
+    captured = capsys.readouterr()
+    assert info.value.code == 2 and captured.out == ""
+    assert "argument --vars: variables[50000]: duplicate name 'x7'\n" in captured.err
+    with deadline(1):
+        code, out, err = run(capsys, "generators", "--ideal-i", "*".join(names),
+                             "--ideal-j", "x7*u")
+    assert code == 2 and out == ""
+    assert "variables[50000]: u and v name the grading and cannot be variables" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "0", "1.5"])

@@ -32,7 +32,7 @@ from conealg import (
 from conealg import generators
 from conealg.fans import locate
 from conealg.generators import _verify_grid
-from conealg.lattice import _cone
+from conealg.lattice import _cone, _point
 from conealg.monomials import PowerCapError
 from oracles import (
     reference_verify_fan_algebra,
@@ -295,6 +295,25 @@ def test_row_zero_grid_packs_no_entry_of_a():
     assert outcome[0] is True
 
 
+@pytest.mark.parametrize("a,b", [((1, 0), (0, 1)), ((1, 1), (1, 1))])
+def test_certificate_rejects_a_chain_that_leaves_the_quadrant(a, b):
+    """The first chain, from (0,1), gets a det-1 lap of the whole circle
+    first, through (1,0), (0,-1) and (-1,0), with generators equal to
+    max(r*a_k, s*b_k) at the new degrees: only the certificate's N^2 check
+    rejects it, and the walk's report is the verdict."""
+    gs = intersection_generators(a, b)
+    lap = tuple(_point(r, s) for r, s in [(0, 1), (1, 0), (0, -1), (-1, 0)])
+    chains = (lap + gs.fan.chains[0],) + gs.fan.chains[1:]
+    extra = tuple(
+        BigradedMonomial(M(tuple(max(p.r * x, p.s * y) for x, y in zip(a, b))), p)
+        for p in lap[2:]
+    )
+    gens = GeneratorSet(gs.generators + extra, SimpleNamespace(cones=gs.fan.cones, chains=chains))
+    assert _walked(a, b, gens, 4, 4) == (
+        _outcome(reference_verify_generation, a, b, gens, 4, 4), True
+    )
+
+
 def _diagonal_spec():
     """The maximal ideal of k[x, y] with pieces (1, 2) and (2, 1)."""
     fan = build_fan((1,), (1,))
@@ -452,10 +471,12 @@ def test_grid_cap_applies_whether_certified_or_walked(kind, monkeypatch):
 
 
 def test_certificate_needs_every_oracle_field_to_fit_the_width():
-    """a = (256, 1), b = (0, 1) on the 1x1 grid: 8-bit fields hold every
-    generator below, but not the oracle (256, 1) at the degrees (1, 1) and
-    (1, 0), which packs as the generator (0, 2) there does.  The walk passes,
-    since the cell (0, 0) uses no generator; the certificate must not."""
+    """a = (256, 1), b = (0, 1) on the 1x1 grid: the generator (0, 2) at the
+    degrees (1, 1) and (1, 0) is not the oracle (256, 1) there, though both
+    pack as one integer in 8-bit fields, which hold every generator below.
+    The walk passes, since the cell (0, 0) uses no generator; the
+    certificate, which compares exponent tuples and packs nothing, must
+    not."""
     a, b = (256, 1), (0, 1)
     gs = intersection_generators(a, b)
     alias = {P(1, 1): M((0, 2)), P(1, 0): M((0, 2))}
