@@ -13,7 +13,8 @@ witness directly: a genuine violating pair, not necessarily the smallest.
 
 import json
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache
+from operator import add
 from typing import Callable, Iterable, Optional, Sequence
 
 from .fans import Fan, build_fan, locate
@@ -147,7 +148,12 @@ class FanAlgebraSpec:
     The powers of its ideals are remembered by (ideal, m, cap) for the life of
     the spec, so generation and verification compute each one once.  A call
     that raises stores nothing, so a later identical call raises the same
-    PowerCapError."""
+    PowerCapError.  Each ideal keeps only its minimal exponent tuples, and
+    the power of a principal ideal is taken in closed form.  A component
+    folds the powers with one generator into a single translate vector and
+    multiplies only the others, in their order, with ``ideal_product``; since
+    a translate never reaches the cap, it raises the PowerCapError that
+    multiplying every power in turn would."""
 
     variables: tuple[str, ...]
     ideals: tuple[MonomialIdeal, ...]
@@ -181,12 +187,26 @@ def _product_of_powers(
     spec: FanAlgebraSpec, factors: Iterable[tuple[MonomialIdeal, int]], max_candidates: int
 ) -> MonomialIdeal:
     """The product of the spec's powers of the (ideal, m) factors with m > 0;
-    (1) if there are none."""
+    (1) if there are none.  Every power is taken first, so a power past the
+    cap raises before any product.  Then the powers with one generator add up
+    to one translate, and ``ideal_product`` runs only between the others, in
+    their order: a translate could not pass the cap, since no kept set has
+    more than ``max_candidates`` elements."""
     powers = [spec._power(ideal, m, max_candidates) for ideal, m in factors if m]
-    if not powers:
-        nvars = len(spec.variables)
-        return MonomialIdeal._from_minimal(nvars, [(0,) * nvars])
-    return reduce(lambda x, y: ideal_product(x, y, max_candidates), powers)
+    shift = (0,) * len(spec.variables)
+    product = None
+    for power in powers:
+        if len(power.exponents) == 1:
+            (e,) = power.exponents
+            shift = tuple(map(add, shift, e))
+        else:
+            product = power if product is None else ideal_product(product, power, max_candidates)
+    if product is None:
+        return MonomialIdeal._from_minimal(len(shift), [shift])
+    if not any(shift):
+        return product
+    translated = [tuple(map(add, shift, g)) for g in product.exponents]
+    return MonomialIdeal._from_minimal(len(shift), translated)
 
 
 def _component_on_cone(

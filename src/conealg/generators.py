@@ -107,8 +107,11 @@ def _verify_grid(
     det(ray_low, p) and det(e, p) never decrease: two cursors find the cone
     (as ``locate`` does) and the pair, moving only towards index 0.  A grid
     of more cells than the candidate cap raises PowerCapError first; the
-    public verifiers check the bounds with ``_check_grid``."""
+    public verifiers check the bounds with ``_check_grid``.  A fan with no
+    cones holds no cell, so every cell fails with ``reasons[0]``."""
     total = _grid_cells(r_max, s_max, max_candidates)
+    if not fan.cones:
+        return VerificationReport(False, total, total, _point(0, 0), reasons[0])
     lows = [(c.ray_low.r, c.ray_low.s) for c in fan.cones]
     chains = []  # per cone: element coordinates and values (None if absent), det 1 per pair
     for chain in fan.chains:

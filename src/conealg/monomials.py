@@ -1,29 +1,33 @@
 """Exact monomials and monomial ideals over a fixed variable list.
 
-Monomial ideals are stored by their unique minimal generating set, so set
-equality of generators is ideal equality.  The public constructors and
-functions check their arguments; what the library derives from values checked
-already is built by ``_monomial`` and ``MonomialIdeal._from_minimal``, which
-skip the checks.  Products and powers of ideals work on plain exponent
-tuples: they collect the sums of generator exponents in one set, keep the
-minimal ones and wrap only those.  Pruning sorts the candidates by total
-degree and tests each one only against the tuples of smaller degree kept so
-far, since a proper divisor has a strictly smaller degree; the candidates of
-an equigenerated product, such as a power of the maximal ideal, need no test
-at all.  When one factor has a single
+A monomial ideal stores one thing: the frozenset of the exponent tuples of
+its unique minimal generators, so set equality is ideal equality.  Its
+``gens`` builds the matching ``Monomial`` objects only when it is read.  The
+public constructors and functions check their arguments; what the library
+derives from values checked already is built by ``_monomial`` and
+``MonomialIdeal._from_minimal``, which skip the checks.  Products and powers
+of ideals work on the stored tuples and build no Monomial: they collect the
+sums of generator exponents in one set and keep the minimal ones.  Pruning
+sorts the candidates by total degree and tests each one only against the
+tuples of smaller degree kept so far, since a proper divisor has a strictly
+smaller degree; the candidates of an equigenerated product, such as a power
+of the maximal ideal, need no test at all.  When one factor has a single
 generator the product is a translate of the other factor's minimal set and
-needs no pruning.  The enumeration is capped (default 10^6 candidates,
+needs no pruning, and the m-th power of a principal ideal (x^e) is (x^(m*e))
+in closed form.  The enumeration is capped (default 10^6 candidates,
 overridable with the CONEALG_MAX_CANDIDATES environment variable; the
 fan-algebra functions read the cap once per call and pass it down through
-``ideal_product`` and ``ideal_power``); the grid verifiers apply the same cap to
-their number of cells.
+``ideal_product`` and ``ideal_power``); a principal power counts the m
+candidates its m products of one generator each would, so it raises exactly
+when m passes the cap.  The grid verifiers apply the same cap to their number
+of cells.
 """
 
 import os
 import re
 from dataclasses import dataclass
 from operator import add, le
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .lattice import LatticePoint2
 
@@ -153,7 +157,7 @@ def _minimalize(exponents: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 
 def _product_exponents(
-    xs: Sequence[tuple[int, ...]], ys: Sequence[tuple[int, ...]]
+    xs: Collection[tuple[int, ...]], ys: Collection[tuple[int, ...]]
 ) -> list[tuple[int, ...]]:
     """The minimal exponent tuples of the product of two ideals given by
     their minimal exponent tuples over the same variables.  When one factor
@@ -167,17 +171,19 @@ def _product_exponents(
     return _minimalize({tuple(map(add, g, h)) for g in xs for h in ys})
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
 class MonomialIdeal:
     """A monomial ideal in its minimal-generator normal form.
 
     The zero ideal has no generators; the unit ideal's sole generator is the
     unit monomial.  All ideals carry the arity of the shared variable list;
-    mixing arities is an error, never a broadcast.
+    mixing arities is an error, never a broadcast.  The ideal stores the
+    frozenset of its minimal exponent tuples, ``exponents``; ``gens`` builds
+    the matching Monomials when it is read.  Instances are immutable.
     """
 
+    __slots__ = ("nvars", "exponents")
     nvars: int
-    gens: frozenset[Monomial]
+    exponents: frozenset[tuple[int, ...]]
 
     def __init__(self, nvars: int, generators: Iterable[Monomial] = ()):
         _natural("nvars", nvars)
@@ -187,9 +193,8 @@ class MonomialIdeal:
         for g in gens:
             if g.nvars != nvars:
                 raise ValueError(f"generator {g} has {g.nvars} variables, expected {nvars}")
-        minimal = _minimalize({g.exponents for g in gens})
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "gens", frozenset(map(_monomial, minimal)))
+        object.__setattr__(self, "exponents", frozenset(_minimalize({g.exponents for g in gens})))
 
     @classmethod
     def _from_minimal(cls, nvars: int, exponents: Iterable[tuple[int, ...]]) -> "MonomialIdeal":
@@ -197,18 +202,40 @@ class MonomialIdeal:
         taken as they are: only for tuples computed from validated ideals."""
         ideal = object.__new__(cls)
         object.__setattr__(ideal, "nvars", nvars)
-        object.__setattr__(ideal, "gens", frozenset(map(_monomial, exponents)))
+        object.__setattr__(ideal, "exponents", frozenset(exponents))
         return ideal
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: MonomialIdeal is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: MonomialIdeal is immutable")
+
+    def __reduce__(self):
+        return MonomialIdeal._from_minimal, (self.nvars, self.exponents)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.nvars == other.nvars and self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.exponents))
+
+    @property
+    def gens(self) -> frozenset[Monomial]:
+        """The minimal generators as Monomials, built on each read."""
+        return frozenset(map(_monomial, self.exponents))
+
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.exponents
 
     def sorted_gens(self) -> list[Monomial]:
         """Generators in descending exponent order (x-heaviest first)."""
-        return sorted(self.gens, reverse=True)
+        return list(map(_monomial, sorted(self.exponents, reverse=True)))
 
     def __repr__(self) -> str:
-        return f"MonomialIdeal({self.nvars}, {sorted(self.gens)})"
+        return f"MonomialIdeal({self.nvars}, {list(map(_monomial, sorted(self.exponents)))})"
 
 
 def maximal_ideal(nvars: int) -> MonomialIdeal:
@@ -225,22 +252,27 @@ def ideal_product(
     if a.nvars != b.nvars:
         raise ValueError(f"variable count mismatch: {a.nvars} vs {b.nvars}")
     cap = _candidate_cap(max_candidates)
-    if len(a.gens) * len(b.gens) > cap:
-        raise PowerCapError(
-            f"power too large: {len(a.gens) * len(b.gens)} candidate products exceed cap {cap}"
-        )
-    return MonomialIdeal._from_minimal(
-        a.nvars, _product_exponents([g.exponents for g in a.gens], [h.exponents for h in b.gens])
-    )
+    candidates = len(a.exponents) * len(b.exponents)
+    if candidates > cap:
+        raise PowerCapError(f"power too large: {candidates} candidate products exceed cap {cap}")
+    return MonomialIdeal._from_minimal(a.nvars, _product_exponents(a.exponents, b.exponents))
 
 
 def ideal_power(
     a: MonomialIdeal, m: int, max_candidates: Optional[int] = None
 ) -> MonomialIdeal:
-    """m-th power via iterated products of minimal generating sets; A^0 = (1)."""
+    """m-th power via iterated products of minimal generating sets; A^0 = (1).
+    The power of a principal ideal (x^e) is (x^(m*e)), in closed form; it
+    raises where the iterated products, one candidate each, would pass the
+    cap: when m exceeds it."""
     _natural("power", m)
     cap = _candidate_cap(max_candidates)
-    base = [g.exponents for g in a.gens]
+    base = a.exponents
+    if len(base) == 1:
+        if m > cap:
+            raise PowerCapError(f"power too large: {cap + 1} candidate products exceed cap {cap}")
+        (e,) = base
+        return MonomialIdeal._from_minimal(a.nvars, [tuple([x * m for x in e])])
     result = [(0,) * a.nvars]
     spent = 0
     for _ in range(m):

@@ -10,17 +10,28 @@ intersections from the pairwise least common multiples of the generators.
 The grid verifiers' row walk is checked against a reference driver instead:
 a per-cell loop that finds every cell's cone and chain pair by bisection
 (``locate`` and ``unimodular_decomposition``) and checks every cell's
-recombination.
+recombination.  Its fan-algebra components multiply every power in turn
+(``reference_product_of_powers``), where the library folds the principal
+ones into one translate; ``iterated_power`` forms A^m by m products with A,
+where the library takes a principal power in closed form.
 """
 
 import itertools
 from bisect import bisect_left
 from fractions import Fraction
+from functools import reduce
 
-from conealg import Cone2, LatticePoint2, Monomial, MonomialIdeal, VerificationReport
+from conealg import (
+    Cone2,
+    LatticePoint2,
+    Monomial,
+    MonomialIdeal,
+    PowerCapError,
+    VerificationReport,
+    ideal_product,
+)
 from conealg.fans import locate
 from conealg.lattice import det
-from conealg.fan_algebra import _component_on_cone, _product_of_powers
 
 
 def frac_cone_contains(c: Cone2, p: LatticePoint2) -> bool:
@@ -212,9 +223,39 @@ def reference_verify_generation(a, b, gens, r_max, s_max) -> VerificationReport:
     return reference_verify_grid(gens.fan, coeffs, r_max, s_max, product, component, reasons)
 
 
+def iterated_power(a: MonomialIdeal, m: int, max_candidates: int) -> MonomialIdeal:
+    """A^m as m products with A, each reduced by brute_minimal_generators,
+    counting every candidate product against the cap as ``ideal_power``'s
+    loop does: the reference for its closed form of a principal power."""
+    result = MonomialIdeal(a.nvars, [(0,) * a.nvars])
+    spent = 0
+    for _ in range(m):
+        spent += len(result.gens) * len(a.gens)
+        if spent > max_candidates:
+            raise PowerCapError(
+                f"power too large: {spent} candidate products exceed cap {max_candidates}"
+            )
+        result = MonomialIdeal(
+            a.nvars, brute_minimal_generators(g * h for g in result.gens for h in a.gens)
+        )
+    return result
+
+
+def reference_product_of_powers(spec, factors, max_candidates) -> MonomialIdeal:
+    """The product of the spec's powers of the (ideal, m) factors with m > 0,
+    (1) if there are none: every power first, then one ``ideal_product``
+    after another in the factors' order, principal powers included."""
+    powers = [spec._power(ideal, m, max_candidates) for ideal, m in factors if m]
+    if not powers:
+        nvars = len(spec.variables)
+        return MonomialIdeal(nvars, [(0,) * nvars])
+    return reduce(lambda x, y: ideal_product(x, y, max_candidates), powers)
+
+
 def reference_verify_fan_algebra(spec, gens, r_max, s_max, max_candidates) -> VerificationReport:
-    """``verify_fan_algebra`` on ``reference_verify_grid``, for a grid that
-    stays within ``max_candidates``."""
+    """``verify_fan_algebra`` on ``reference_verify_grid`` and
+    ``reference_product_of_powers``, for a grid that stays within
+    ``max_candidates``."""
     by_degree = {}
     for g in gens:
         by_degree.setdefault(g.degree, set()).add(g.coeff)
@@ -223,9 +264,14 @@ def reference_verify_fan_algebra(spec, gens, r_max, s_max, max_candidates) -> Ve
         "no decomposition into available generator degrees",
         "generator component product differs from the graded component",
     )
+
+    def component(i, p):
+        factors = [(ideal, f.piece_value(i, p)) for ideal, f in zip(spec.ideals, spec.functions)]
+        return reference_product_of_powers(spec, factors, max_candidates)
+
     return reference_verify_grid(
         spec.fan, ideals, r_max, s_max,
-        lambda factors: _product_of_powers(spec, factors, max_candidates),
-        lambda i, p: _component_on_cone(spec, i, p, max_candidates),
+        lambda factors: reference_product_of_powers(spec, factors, max_candidates),
+        component,
         reasons,
     )

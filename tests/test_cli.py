@@ -459,6 +459,19 @@ def test_fan_algebra_thin_cone_rejection_exits_2(tmp_path, capsys, deadline):
     assert err == "error: f(1,0)+f(1000,999) = 1+0 < f(1001,999) = 2\n"
 
 
+def test_principal_power_past_the_default_cap_exits_3_at_once(tmp_path, capsys, deadline):
+    # x^1000001 at the degrees (0,1), (1,1) and (1,0): the closed-form power
+    # raises the cap error that 1000001 one-candidate products would reach
+    path = tmp_path / "spec.json"
+    payload = dict(SPEC_PAYLOAD, variables=["x"], ideals=[["x"]],
+                   pieces=[[[0, 1000001], [1000001, 0]]])
+    path.write_text(json.dumps(payload))
+    with deadline(0.5):
+        code, out, err = run(capsys, "fan-algebra", "--spec", str(path), "--verify", "2x2")
+    assert code == 3 and out == ""
+    assert err == "error: power too large: 1000001 candidate products exceed cap 1000000\n"
+
+
 def test_verify_grid_over_default_cap_exits_3(capsys, deadline):
     with deadline(5):
         code, out, err = run(

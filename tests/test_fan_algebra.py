@@ -21,6 +21,7 @@ from conealg import (
     graded_component,
     hilbert_basis,
     ideal_power,
+    ideal_product,
     intersection_as_fan_algebra,
     intersection_generators,
     load_fan_algebra_spec,
@@ -30,12 +31,16 @@ from conealg import (
     principal_cap_maximal_power,
     verify_fan_algebra,
 )
+from conealg.fan_algebra import _product_of_powers
+from conealg.monomials import default_variables
 from oracles import (
     brute_intersection,
     brute_subadditivity_witness,
     divides,
     frac_piece_value,
+    iterated_power,
     random_exponent_pair,
+    reference_product_of_powers,
 )
 
 P = LatticePoint2
@@ -364,6 +369,72 @@ def test_verify_fan_algebra_cap_error_matches_graded_component(cap, r_max, s_max
     with pytest.raises(PowerCapError) as info:
         verify_fan_algebra(spec, gens, r_max, s_max)
     assert str(info.value) == expected
+
+
+@st.composite
+def power_products(draw):
+    """Ideals over 1-3 variables with one, two or three drawn generators,
+    (ideal, m) factors of them, and a cap at or one below a candidate count
+    that the reference checks (each power's running total, m for a principal
+    one, and each product's), or small."""
+    n = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    sizes = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3))
+    ideals = tuple(
+        MonomialIdeal(n, draw(st.lists(exponents, min_size=k, max_size=k, unique=True)))
+        for k in sizes
+    )
+    factors = draw(st.lists(st.tuples(st.sampled_from(ideals), st.integers(0, 6)),
+                            min_size=1, max_size=5))
+    counts, product = set(), None
+    for ideal, m in factors:
+        if m:
+            counts.add(len(ideal.gens) * sum(len(ideal_power(ideal, k).gens) for k in range(m)))
+            power = ideal_power(ideal, m)
+            if product is not None:
+                counts.add(len(product.gens) * len(power.gens))
+            product = power if product is None else ideal_product(product, power)
+    near = sorted({c - d for c in counts for d in (0, 1) if c - d > 0}) or [1]
+    cap = draw(st.one_of(st.sampled_from(near), st.integers(1, 60)))
+    return n, ideals, factors, cap
+
+
+def _product_or_cap_error(call, *args):
+    try:
+        return call(*args)
+    except PowerCapError as e:
+        return str(e)
+
+
+# (x, y), (x^2, y) and (x^3, x*y, y^3): their product in order checks 2*2
+# and then 3*3 candidates (in reverse, 3*2 first), so cap 5 must raise at 9.
+# Cap 3 passes the first powers but not the third ideal's square (3 + 9
+# candidates), which must raise before the product's 2*2 could.
+XY, X2Y, X3XYY3 = (MonomialIdeal(2, [M(g) for g in gens]) for gens in (
+    [(1, 0), (0, 1)], [(2, 0), (0, 1)], [(3, 0), (1, 1), (0, 3)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_products())
+@example((2, (XY, X2Y, X3XYY3), [(XY, 1), (X2Y, 1), (X3XYY3, 1)], 5))
+@example((2, (XY, X2Y, X3XYY3), [(XY, 1), (X2Y, 1), (X3XYY3, 2)], 3))
+def test_folded_powers_match_the_reduce_of_every_product(case):
+    """Each power equals, or raises as, m products with its base; the product
+    of the powers, with the principal ones folded into one translate, equals,
+    or raises as, one ideal_product after another over all of them."""
+    n, ideals, factors, cap = case
+    zero = check_fan_linear(DIAGONAL_FAN, ((0, 0), (0, 0)))
+
+    def spec():
+        return FanAlgebraSpec(default_variables(n), ideals, (zero,) * len(ideals))
+
+    for ideal, m in factors:
+        assert _product_or_cap_error(ideal_power, ideal, m, cap) == _product_or_cap_error(
+            iterated_power, ideal, m, cap
+        )
+    assert _product_or_cap_error(_product_of_powers, spec(), factors, cap) == (
+        _product_or_cap_error(reference_product_of_powers, spec(), factors, cap)
+    )
 
 
 def test_principal_cap_maximal_power_examples():

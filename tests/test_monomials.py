@@ -252,6 +252,20 @@ def test_cap_messages_count_candidates_of_minimal_factors():
         assert str(info.value) == f"power too large: {spent} candidate products exceed cap {cap}"
 
 
+def test_principal_power_is_closed_form(deadline):
+    """(x^e)^m is (x^(m*e)) at once, and past the cap it raises the count
+    that m products of one candidate each would reach: cap + 1."""
+    with deadline(0.5):
+        big = ideal_power(ideal((2, 3)), 10**12, max_candidates=10**13)
+        with pytest.raises(PowerCapError) as info:
+            ideal_power(ideal((2, 3)), 10**12, max_candidates=10**12 - 1)
+    assert big == ideal((2 * 10**12, 3 * 10**12))
+    assert str(info.value) == (
+        f"power too large: {10**12} candidate products exceed cap {10**12 - 1}"
+    )
+    assert ideal_power(ideal((2, 3)), 7, max_candidates=7) == ideal((14, 21))
+
+
 def test_public_constructors_keep_their_checks():
     for bad in ((1, -1), (True, 0), (1.0, 0)):
         with pytest.raises(ValueError, match="nonnegative integers"):

@@ -30,7 +30,7 @@ from conealg import (
     verify_generation,
 )
 from conealg import generators
-from conealg.fans import locate
+from conealg.fans import Fan, locate
 from conealg.generators import _verify_grid
 from conealg.lattice import _cone, _point
 from conealg.monomials import PowerCapError
@@ -425,6 +425,32 @@ def _verify_intersection(r_max, s_max):
 def _verify_spec(r_max, s_max):
     spec = intersection_as_fan_algebra((5, 2), (2, 3))
     return verify_fan_algebra(spec, fan_algebra_generators(spec), r_max, s_max)
+
+
+EMPTY_FAN = Fan((5, 2), (2, 3), (0, 1), ())
+
+
+def _verify_intersection_without_cones(r_max, s_max):
+    gens = GeneratorSet(intersection_generators((5, 2), (2, 3)).generators, EMPTY_FAN)
+    return verify_generation((5, 2), (2, 3), gens, r_max, s_max)
+
+
+def _verify_spec_without_cones(r_max, s_max):
+    function = check_fan_linear(EMPTY_FAN, [])
+    spec = FanAlgebraSpec(("x", "y"), (maximal_ideal(2),), (function,))
+    return verify_fan_algebra(spec, fan_algebra_generators(spec), r_max, s_max)
+
+
+@pytest.mark.parametrize(
+    "verify,reason",
+    [
+        (_verify_intersection_without_cones, "no decomposition into available generators"),
+        (_verify_spec_without_cones, "no decomposition into available generator degrees"),
+    ],
+)
+def test_a_fan_without_cones_fails_every_cell(verify, reason):
+    """No cone holds a cell, so none decomposes: a report, not an IndexError."""
+    assert _outcome(verify, 2, 2) == (False, 9, 9, P(0, 0), reason)
 
 
 @pytest.mark.parametrize("verify", [_verify_intersection, _verify_spec])

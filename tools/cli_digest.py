@@ -6,11 +6,12 @@ Run from the root of a checkout, stdlib only:
 
 For each seed it builds the generate-thin, verify-grid and fan-algebra pools
 with ``bench/workloads.build`` (spec files go to a temporary directory), adds
-the fixed ``EXTRAS`` argvs, calls ``conealg.cli.main`` in this process on
-each, and feeds argv, exit code, stdout and stderr into one sha256.  The
-temporary directory's path is replaced by ``<spec>`` first, so two runs
-agree whenever the CLI answers alike.  It prints one line per pool and a
-last line with the total operation count and the digest.
+the fixed ``EXTRAS`` argvs and a ``fan-algebra --verify`` call on each spec of
+``SPEC_EXTRAS`` (written to that directory), calls ``conealg.cli.main`` in
+this process on each, and feeds argv, exit code, stdout and stderr into one
+sha256.  The temporary directory's path is replaced by ``<spec>`` first, so
+two runs agree whenever the CLI answers alike.  It prints one line per pool
+and a last line with the total operation count and the digest.
 
 ``--root`` names the checkout whose ``src`` and ``bench`` are imported
 (default: the one holding this script), so one copy of the script can digest
@@ -20,6 +21,7 @@ a parent commit and a change alike.
 import argparse
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -72,6 +74,17 @@ for pair in (["--a", "2,5", "--b", "3,2"], ["--a", "1,0,5", "--b", "2,0,1"]):
     EXTRAS += [["fan", *pair, "--format", form] for form in ("text", "json", "svg")]
     EXTRAS += [["generators", *pair], ["verify", *pair, "--rmax", "9", "--smax", "9"]]
 
+# fan-algebra specs and their grids: a principal power one past the default
+# cap (exit 3, raised by the closed form), and a non-principal spec on three
+# cones, whose components fold principal powers into one translate
+SPEC_EXTRAS = {
+    "cap": ({"variables": ["x"], "a": [1], "b": [1], "ideals": [["x"]],
+             "pieces": [[[0, 1000001], [1000001, 0]]]}, "2x2"),
+    "two-ideal": ({"variables": ["x", "y"], "a": [2, 1], "b": [1, 2],
+                   "ideals": [["x", "y^2"], ["y"]],
+                   "pieces": [[[0, 1], [2, 0], [2, 0]], [[0, 2], [0, 2], [1, 0]]]}, "6x6"),
+}
+
 
 def _answer(main, argv):
     """(exit code, stdout, stderr) of one in-process call; an exception that
@@ -112,9 +125,14 @@ def main(argv=None):
                     total.update(record)
                 count += len(ops)
                 print(f"{workload} seed {seed}: {len(ops)} ops sha256 {pool.hexdigest()}")
-        for extra in EXTRAS:
+        extras = list(EXTRAS)
+        for name, (spec, grid) in SPEC_EXTRAS.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(spec))
+            extras.append(["fan-algebra", "--spec", str(path), "--verify", grid])
+        for extra in extras:
             total.update(_record(cli_main, extra, tmp))
-        count += len(EXTRAS)
+        count += len(extras)
     print(f"total: {count} ops sha256 {total.hexdigest()}")
 
 
