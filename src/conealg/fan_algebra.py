@@ -294,7 +294,7 @@ def verify_fan_algebra(
     return _verify_grid(
         spec.fan, ideals, r_max, s_max,
         lambda low, m, high, n: _product_of_powers(spec, ((low, m), (high, n)), cap),
-        lambda r: lambda i, s: _component_on_cone(spec, i, _point(r, s), cap),
+        lambda i, r, s: _component_on_cone(spec, i, _point(r, s), cap),
         reasons,
         cap,
     )

@@ -42,12 +42,6 @@ def fan_order(
     """
     a, b = tuple(a), tuple(b)
     _check_pair(a, b)
-    keep = _fan_permutation(a, b)
-    return tuple(a[i] for i in keep), tuple(b[i] for i in keep), keep
-
-
-def _fan_permutation(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """``fan_order``'s permutation of a pair that ``_check_pair`` accepts."""
     keep = [i for i in range(len(a)) if a[i] or b[i]]  # nonempty: a has a positive entry
 
     def cmp(i: int, j: int) -> int:
@@ -58,7 +52,7 @@ def _fan_permutation(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         return 0
 
     keep.sort(key=cmp_to_key(cmp))
-    return tuple(keep)
+    return tuple(a[i] for i in keep), tuple(b[i] for i in keep), tuple(keep)
 
 
 @dataclass(frozen=True)

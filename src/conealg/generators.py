@@ -11,11 +11,10 @@ reconstructs every graded component from the generators.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .fans import Fan, _check_pair, _fan_permutation, build_fan, fan_order
+from .fans import Fan, _check_pair, build_fan, fan_order
 from .lattice import LatticePoint2, _point
 from .monomials import BigradedMonomial, PowerCapError, _candidate_cap, _max_exponents, _monomial
 
@@ -91,7 +90,7 @@ def _verify_grid(
     r_max: int,
     s_max: int,
     product: Callable[[object, int, object, int], object],
-    row: Callable[[int], Callable[[int, int], object]],
+    component: Callable[[int, int, int], object],
     reasons: tuple[str, str],
     max_candidates: Optional[int] = None,
 ) -> VerificationReport:
@@ -102,8 +101,8 @@ def _verify_grid(
     multiple of it.  If that fails, a multiplicity is negative or a degree
     used is not in ``available``, the cell fails with ``reasons[0]``; else
     ``product(available[l], alpha, available[h], beta)`` (None if absent with
-    multiplicity 0) must equal ``component(i, s)``, with ``component = row(r)``
-    per row, or it fails with ``reasons[1]``.  Along a row s grows, so
+    multiplicity 0) must equal ``component(i, r, s)``, called once per cell,
+    or it fails with ``reasons[1]``.  Along a row s grows, so
     det(ray_low, p) and det(e, p) never decrease: two cursors find the cone
     (as ``locate`` does) and the pair, moving only towards index 0.  A grid
     of more cells than the candidate cap raises PowerCapError first; the
@@ -121,7 +120,6 @@ def _verify_grid(
     failures = 0
     first = reason = None
     for r in range(r_max + 1):
-        component = row(r)
         i, j = len(lows) - 1, None
         for s in range(s_max + 1):
             while i and lows[i - 1][0] * s >= lows[i - 1][1] * r:
@@ -145,7 +143,7 @@ def _verify_grid(
                 alpha, beta, low, high, ok = 0, 0, None, None, r == s == 0
             if not ok or (alpha and low is None) or (beta and high is None):
                 why = reasons[0]
-            elif product(low, alpha, high, beta) == component(i, s):
+            elif product(low, alpha, high, beta) == component(i, r, s):
                 continue
             else:
                 why = reasons[1]
@@ -179,8 +177,7 @@ def _certified(
     subcone (h, l) is det(p, h)*l + det(l, p)*h, so by 4 the product of the
     generators the grid walk takes for p is the oracle at p: every cell of
     every grid passes.  Columns and chain degrees are each visited once, and
-    each degree costs one exponent-tuple comparison; nothing is sorted or
-    packed.
+    each degree costs one exponent-tuple comparison; nothing is sorted.
     """
     cones, chains = fan.cones, fan.chains
     if len(cones) != len(chains) or not all(chains):
@@ -221,25 +218,17 @@ def verify_generation(
     generator at a chain degree has the componentwise-max exponents there
     (one exponent-tuple comparison per degree), then the oracle is linear
     on each subcone and every cell of any grid is the product the walk below
-    would form, so the report is a pass.  If any check fails, the
-    generators are packed and the grid is walked, and its report is the
-    verdict; a passing certificate packs nothing.
+    would form, so the report is a pass.  If any check fails, the grid is
+    walked, and its report is the verdict.
 
     Row by row (see ``_verify_grid``), write each (r, s) along the bracketing
     unimodular pair of its cone's chain in ``gens.fan.chains``, add the
-    exponents of the generators at those degrees (which must be in ``gens``)
-    with their multiplicities, and compare with the componentwise-max oracle,
-    computed exactly for every cell.  Failures are reported, never raised.
-
-    For the walk each vector v is packed as the integer sum of v_k << (w*k),
-    w a whole number of bytes, and a cell compares two integers.  No field
-    carries: an oracle field is at most max(r_max*max a, s_max*max b), a
-    product field (negative multiplicities fail first) at most
-    (r_max + s_max)*(largest chain coordinate)*(largest exponent).  Row r's
-    oracle starts as r*pack(a); a pointer over the variables by ascending
-    a_k/b_k (``fan_order`` reversed) moves each to s*b_k once s*b_k >= r*a_k.
-    Coefficients of another length raise ValueError; a grid of more cells
-    than the candidate cap raises PowerCapError, certified or not.
+    exponent tuples of the generators at those degrees (which must be in
+    ``gens``) with their multiplicities, and compare the sum with the tuple
+    of max(r*a_k, s*b_k), computed for every cell.  Failures are reported,
+    never raised.  Coefficients of another length raise ValueError; a grid
+    of more cells than the candidate cap raises PowerCapError, certified or
+    not.
     """
     _check_grid(r_max, s_max)
     a, b = tuple(a), tuple(b)
@@ -250,42 +239,22 @@ def verify_generation(
             raise ValueError(f"generator at degree {degree} has {len(v)} exponents, expected {len(a)}")
     if _certified(a, b, gens.fan, coeffs):
         return VerificationReport(True, _grid_cells(r_max, s_max), 0, None, None)
-    reach = max((max(e.r, e.s) for chain in gens.fan.chains for e in chain), default=0)
-    largest = max(map(max, coeffs.values()), default=0)
-    bound = max(r_max * max(a), s_max * max(b), largest, (r_max + s_max) * reach * largest)
-    size = (bound.bit_length() + 7) // 8  # bytes per field
+    zero = (0,) * len(a)
 
-    def pack(v: Sequence[int]) -> int:
-        fields = map(int.to_bytes, v, repeat(size), repeat("little"))
-        return int.from_bytes(b"".join(fields), "little")
-
-    packed = {degree: pack(v) for degree, v in coeffs.items()}
-    columns = []  # [a_k, b_k, a and b packed on the columns of ratio a_k/b_k], ascending
-    for k in _fan_permutation(a, b)[::-1]:
-        if not columns or columns[-1][0] * b[k] != a[k] * columns[-1][1]:
-            columns.append([a[k], b[k], 0, 0])
-        columns[-1][2] += a[k] << 8 * size * k
-        columns[-1][3] += b[k] << 8 * size * k
-    packed_a = sum(column[2] for column in columns)  # a's fields may pass w when r_max = 0
-
-    def product(low: Optional[int], alpha: int, high: Optional[int], beta: int) -> int:
-        return (alpha and alpha * low) + (beta and beta * high)
-
-    def row(r: int) -> Callable[[int, int], int]:
-        below, above, k, oracles = r * packed_a, 0, 0, []  # fields r*a_k; b_k once passed
-        for s in range(s_max + 1):
-            while k < len(columns) and s * columns[k][1] >= r * columns[k][0]:
-                below -= r * columns[k][2]
-                above += columns[k][3]
-                k += 1
-            oracles.append(below + s * above)
-        return lambda _, s: oracles[s]
+    def product(
+        low: Optional[tuple[int, ...]], alpha: int, high: Optional[tuple[int, ...]], beta: int
+    ) -> tuple[int, ...]:
+        return tuple([alpha * x + beta * y for x, y in zip(low or zero, high or zero)])
 
     reasons = (
         "no decomposition into available generators",
         "generator product differs from the component generator",
     )
-    return _verify_grid(gens.fan, packed, r_max, s_max, product, row, reasons)
+    return _verify_grid(
+        gens.fan, coeffs, r_max, s_max, product,
+        lambda _, r, s: _max_exponents(a, b, r, s),
+        reasons,
+    )
 
 
 class AsymptoticLimits(NamedTuple):

@@ -4,8 +4,9 @@ These deliberately avoid the library's own algorithms: cone membership is
 solved with Fraction arithmetic (Cramer), irreducibles are found by scanning
 sums over the bounding box, decompositions by exhaustive multiplicity
 enumeration, power containment and minimal generators by raw divisibility,
-subadditivity witnesses by scanning all small pairs, and ideal
-intersections from the pairwise least common multiples of the generators.
+subadditivity witnesses by scanning all small pairs, redundant
+intersection-algebra generators by scanning every split of their degree, and
+ideal intersections from the pairwise least common multiples of the generators.
 
 The grid verifiers' row walk is checked against a reference driver instead:
 a per-cell loop that finds every cell's cone and chain pair by bisection
@@ -124,6 +125,27 @@ def largest_inner_power(a, b, m: int) -> int:
     while power_contained(a, b, m, n + 1):
         n += 1
     return n
+
+
+def brute_redundancy_witness(a, b, p: LatticePoint2):
+    """First split p = q + q' into nonzero lattice points, q scanned by r
+    then s, at which the generator of degree p of the intersection algebra
+    of (x^a) and (x^b) is the product of those of degrees q and q':
+    f(q) + f(q') = f(p) in every coordinate, f(r, s) the tuple of
+    max(r*a_k, s*b_k) written out here; None if p has no such split."""
+
+    def f(r, s):
+        return [max(r * x, s * y) for x, y in zip(a, b)]
+
+    top = f(p.r, p.s)
+    for qr in range(p.r + 1):
+        for qs in range(p.s + 1):
+            if (qr, qs) in ((0, 0), (p.r, p.s)):
+                continue
+            rest = f(p.r - qr, p.s - qs)
+            if all(x + y == z for x, y, z in zip(f(qr, qs), rest, top)):
+                return LatticePoint2(qr, qs), LatticePoint2(p.r - qr, p.s - qs)
+    return None
 
 
 def random_exponent_pair(rng, max_len=4, max_entry=6):

@@ -1,9 +1,11 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conealg import (
     BigradedMonomial,
@@ -15,7 +17,12 @@ from conealg import (
     principal_intersection,
     verify_generation,
 )
-from oracles import brute_irreducibles, largest_inner_power, random_exponent_pair
+from oracles import (
+    brute_irreducibles,
+    brute_redundancy_witness,
+    largest_inner_power,
+    random_exponent_pair,
+)
 
 P = LatticePoint2
 M = Monomial
@@ -83,6 +90,42 @@ def test_two_three_generators_match_brute_force():
                 BigradedMonomial(principal_intersection((2,), (3,), p.r, p.s), p)
             )
     assert set(gs.generators) == oracle
+
+
+@st.composite
+def small_pairs(draw):
+    """1-4 columns with entries 0-6, each drawn freely, zero, or a multiple
+    of the primitive vector of an earlier nonzero column (a repeated ratio)."""
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        earlier = [c for c in columns if any(c)]
+        kind = draw(st.sampled_from(("free", "zero", "repeat") if earlier else ("free", "zero")))
+        if kind == "free":
+            columns.append(draw(st.tuples(st.integers(0, 6), st.integers(0, 6))))
+        elif kind == "zero":
+            columns.append((0, 0))
+        else:
+            x, y = draw(st.sampled_from(earlier))
+            x, y = x // gcd(x, y), y // gcd(x, y)
+            m = draw(st.integers(1, 6 // max(x, y)))
+            columns.append((m * x, m * y))
+    a, b = (tuple(v) for v in zip(*columns))
+    assume(any(a) and any(b))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_pairs())
+@example(((5, 2), (2, 3)))
+@example(((2, 4, 6), (1, 2, 3)))
+@example(((3, 0, 0, 1), (1, 0, 5, 2)))
+def test_intersection_generators_are_minimal(ab):
+    """No generator of degree p lies in the product of the components of
+    degrees q and p - q, for any split into nonzero q and p - q: each is
+    needed, by a scan of every split of its degree."""
+    a, b = ab
+    for g in intersection_generators(a, b).generators:
+        assert brute_redundancy_witness(a, b, g.degree) is None, g
 
 
 def test_generators_sound():

@@ -216,8 +216,9 @@ def wide_pairs(draw):
 
 
 def _field_width(a, b, gs, r_max, s_max):
-    """The packed field width ``verify_generation`` uses: whole bytes above
-    the oracle, generator and product bounds of its docstring."""
+    """A bit width, in whole bytes, above every oracle, generator and
+    product entry of the grid: an entry raised by 2**width lies outside
+    every value the verifier could otherwise meet."""
     reach = max(max(e.r, e.s) for chain in gs.fan.chains for e in chain)
     largest = max(x for g in gs.generators for x in g.coeff.exponents)
     bound = max(r_max * max(a), s_max * max(b), largest, (r_max + s_max) * reach * largest)
@@ -226,7 +227,9 @@ def _field_width(a, b, gs, r_max, s_max):
 
 def _carry(gens, width, pick):
     """Raise entry k of one coefficient by 2**width and lower entry k + 1 by
-    1: packed with fields of ``width`` bits, the same integer as before."""
+    1: a different exponent vector whose sum of v_k * 2**(width*k) is the
+    same integer as before, so a verifier that compared such sums would
+    alias the two."""
     spots = [
         (g, k) for g, bm in enumerate(gens) for k, y in enumerate(bm.coeff.exponents[1:]) if y
     ]
@@ -254,6 +257,9 @@ def _carry(gens, width, pick):
 @example(((3, 0, 1), (1, 2, 0)), 0, 9, "carry", 0)
 @example(((6, 0, 1), (1, 2, 0)), 7, 0, "carry", 13)
 def test_packed_verifier_matches_reference_on_wide_and_large_pairs(ab, r_max, s_max, kind, pick):
+    """On up to 200 columns with entries past 2**64, every tampering, and a
+    "carry" that changes a coefficient into another vector with the same
+    sum of v_k * 2**(width*k), report the per-cell reference's outcome."""
     a, b = ab
     gs = intersection_generators(a, b)
     if kind == "carry":
@@ -268,9 +274,9 @@ def test_packed_verifier_matches_reference_on_wide_and_large_pairs(ab, r_max, s_
 
 def test_product_fields_past_the_generator_width_do_not_carry():
     """At (5, 1) the product 4*(65, 1) + (1, 0) = (261, 4) differs from the
-    oracle (5, 5) although both are 5 + 5*256 in 8-bit fields, which would
-    hold every generator and oracle entry; only the product bound, 6*65,
-    asks for more."""
+    oracle (5, 5) although both are 5 + 5*256 read as base-256 digits, a
+    base that holds every generator and oracle entry: a product entry past
+    every generator entry must not alias another vector."""
     a, b = (1, 1), (1, 1)
     gs = intersection_generators(a, b)
     swap = {P(1, 0): (65, 1), P(1, 1): (1, 0)}
@@ -286,7 +292,8 @@ def test_product_fields_past_the_generator_width_do_not_carry():
 
 def test_row_zero_grid_packs_no_entry_of_a():
     """On a grid with r_max = 0 only the generator at (0, 1), here b, is
-    used, so the field width need not hold a = (1000, 1)."""
+    used, so a set without the generators at r > 0 passes every cell,
+    however large a = (1000, 1) is."""
     a, b = (1000, 1), (0, 1)
     gs = intersection_generators(a, b)
     gens = GeneratorSet(tuple(g for g in gs.generators if g.degree.r == 0), gs.fan)
@@ -403,14 +410,11 @@ def test_row_walk_matches_locate_and_bisection(a, b, r_max, s_max):
     def product(low, alpha, high, beta):
         return sorted((e, m) for e, m in ((low, alpha), (high, beta)) if m)
 
-    def row(r):
-        def component(i, s):
-            visits.append((i, r, s))
-            return sorted(unimodular_decomposition(P(r, s), fan.chains[i]))
+    def component(i, r, s):
+        visits.append((i, r, s))
+        return sorted(unimodular_decomposition(P(r, s), fan.chains[i]))
 
-        return component
-
-    report = _verify_grid(fan, available, r_max, s_max, product, row, ("", ""))
+    report = _verify_grid(fan, available, r_max, s_max, product, component, ("", ""))
     assert report.passed and report.total == (r_max + 1) * (s_max + 1)
     assert visits == [
         (locate(fan, P(r, s)), r, s) for r in range(r_max + 1) for s in range(s_max + 1)
@@ -481,6 +485,20 @@ def test_certified_generators_pass_a_large_grid_without_walking_it(deadline):
     assert report.summary() == "PASS 1000000/1000000 components"
 
 
+def test_failing_walk_of_many_variables_matches_reference(deadline):
+    """The 200-variable pair of tools/cli_digest.py without its first
+    generator fails its certificate, so the 60x60 grid is walked, one
+    200-entry exponent tuple per cell, within a generous bound."""
+    a = tuple(k % 7 for k in range(200))
+    b = tuple(3 * k % 5 for k in range(200))
+    gs = intersection_generators(a, b)
+    gens = GeneratorSet(gs.generators[1:], gs.fan)
+    with deadline(5):
+        outcome, walked = _walked(a, b, gens, 60, 60)
+    assert walked and outcome[0] is False
+    assert outcome == _outcome(reference_verify_generation, a, b, gens, 60, 60)
+
+
 @pytest.mark.parametrize("kind", ["none", "drop"])
 def test_grid_cap_applies_whether_certified_or_walked(kind, monkeypatch):
     """A certified set and a set whose certificate fails raise the same
@@ -499,9 +517,9 @@ def test_grid_cap_applies_whether_certified_or_walked(kind, monkeypatch):
 def test_certificate_needs_every_oracle_field_to_fit_the_width():
     """a = (256, 1), b = (0, 1) on the 1x1 grid: the generator (0, 2) at the
     degrees (1, 1) and (1, 0) is not the oracle (256, 1) there, though both
-    pack as one integer in 8-bit fields, which hold every generator below.
-    The walk passes, since the cell (0, 0) uses no generator; the
-    certificate, which compares exponent tuples and packs nothing, must
+    are 512 read as base-256 digits, a base that holds every generator
+    below.  The walk passes, since the cell (0, 0) uses no generator; the
+    certificate, which compares every entry of the exponent tuples, must
     not."""
     a, b = (256, 1), (0, 1)
     gs = intersection_generators(a, b)

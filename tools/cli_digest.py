@@ -31,7 +31,7 @@ WORKLOADS = ("generate-thin", "verify-grid", "fan-algebra")
 # The verify argvs cover the certificate's edge cases: a 20-digit exponent,
 # zero columns (b_k = 0, a_k = 0, and both in WIDE), 200 variables and a grid
 # with no r > 0.  The CLI's generators always pass the certificate, so the
-# packed grid walk runs only on the tampered sets of tests/test_verify_grid.py.
+# grid walk of `verify` runs only on the tampered sets of tests/test_verify_grid.py.
 WIDE_A = ",".join(str(k % 7) for k in range(200))
 WIDE_B = ",".join(str(3 * k % 5) for k in range(200))
 EXTRAS = [
