@@ -6,12 +6,13 @@ Exponent-vector input (--a/--b) is the canonical interface; principal
 monomial strings (--ideal-i/--ideal-j) are sugar on top of it.  Output is
 byte-stable across identical invocations.
 
-Exit codes: 0 success, 2 input/parse error, 3 enumeration cap exceeded,
-4 verification failure.
+Exit codes: 0 success, 1 stdout closed, 2 input/parse error, 3 enumeration
+cap exceeded, 4 verification failure.
 """
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -47,6 +48,7 @@ from .monomials import (
 from .svg import render_fan_svg
 
 EXIT_OK = 0
+EXIT_CLOSED = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_VERIFY = 4
@@ -365,7 +367,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # the interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED
     except PowerCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP

@@ -30,6 +30,39 @@ def _check_pair(a: tuple[int, ...], b: tuple[int, ...]) -> None:
             raise ValueError(f"{name} has no positive entry (the ideal would be the unit ideal)")
 
 
+_Classes = list[tuple[tuple[int, int], list[int]]]  # (primitive ray, column indices)
+
+
+def _ray_classes(a: tuple[int, ...], b: tuple[int, ...]) -> _Classes:
+    """The columns of a checked pair grouped by primitive ray (b_i, a_i)/g,
+    steepest ray first, each class's indices in original order; columns where
+    both are zero are dropped.  One gcd per distinct column, and only the
+    distinct rays are sorted: equal ratios are exactly equal rays."""
+    ray_of = {}
+    for x, y in dict.fromkeys(zip(b, a)):
+        if g := gcd(x, y):  # 0 only for a both-zero column
+            ray_of[x, y] = (x // g, y // g)
+    classes: dict[tuple[int, int], list[int]] = {}
+    for i, ray in enumerate(map(ray_of.get, zip(b, a))):
+        if ray:
+            classes.setdefault(ray, []).append(i)
+
+    def cmp(p: tuple[int, int], q: tuple[int, int]) -> int:
+        # slope s/r of p above that of q iff p_s*q_r > q_s*p_r; distinct rays never tie
+        return -1 if p[1] * q[0] > q[1] * p[0] else 1
+
+    return [(ray, classes[ray]) for ray in sorted(classes, key=cmp_to_key(cmp))]
+
+
+def _ordered(
+    a: tuple[int, ...], b: tuple[int, ...], classes: _Classes
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(a_sorted, b_sorted, permutation) of ``fan_order``: the classes of
+    ``_ray_classes`` laid end to end."""
+    order = [i for _, columns in classes for i in columns]
+    return tuple([a[i] for i in order]), tuple([b[i] for i in order]), tuple(order)
+
+
 def fan_order(
     a: Sequence[int], b: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -38,21 +71,13 @@ def fan_order(
     b_i = 0 sorts as +infinity; ties keep their original order; indices where
     both exponents are zero are dropped (the prime occurs in neither ideal).
     Returns (a_sorted, b_sorted, permutation) where permutation[j] is the
-    original index sitting at fan position j.
+    original index sitting at fan position j.  Columns of equal ratio share
+    one primitive ray (b_i, a_i)/g, so only the distinct rays are sorted and
+    each class of equal ratio is laid down in its original order.
     """
     a, b = tuple(a), tuple(b)
     _check_pair(a, b)
-    keep = [i for i in range(len(a)) if a[i] or b[i]]  # nonempty: a has a positive entry
-
-    def cmp(i: int, j: int) -> int:
-        # a_i/b_i > a_j/b_j iff a_i*b_j > a_j*b_i (all entries nonnegative)
-        lhs, rhs = a[i] * b[j], a[j] * b[i]
-        if lhs != rhs:
-            return -1 if lhs > rhs else 1
-        return 0
-
-    keep.sort(key=cmp_to_key(cmp))
-    return tuple(a[i] for i in keep), tuple(b[i] for i in keep), tuple(keep)
+    return _ordered(a, b, _ray_classes(a, b))
 
 
 @dataclass(frozen=True)
@@ -61,7 +86,14 @@ class Fan:
     ordered columns a, b (``order[j]`` is the original index at position j),
     with sentinels so that C_0 contains the s-axis and C_n the r-axis.
     Consecutive cones share exactly one ray; cones whose rays coincide after
-    primitivization are retained but degenerate."""
+    primitivization are retained but degenerate.
+
+    A fan from ``build_fan`` gives each class of columns of equal ratio one
+    ray point and one degenerate cone object, repeated once per extra column,
+    and ``chains`` computes one Hilbert chain per run of one cone object, so
+    the work grows with the number of distinct rays, not of columns.  Cones
+    still compare by value: fields, equality and hash are those of the
+    tuples."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
@@ -70,29 +102,53 @@ class Fan:
 
     @cached_property
     def chains(self) -> tuple[tuple[LatticePoint2, ...], ...]:
-        """The slope-descending Hilbert basis of each cone, built on first use."""
-        return tuple(hilbert_basis(c).elements for c in self.cones)
+        """The slope-descending Hilbert basis of each cone, built on first use;
+        a run of one cone object shares one chain object."""
+        chains, previous, chain = [], None, ()
+        for c in self.cones:
+            if c is not previous:
+                chain, previous = hilbert_basis(c).elements, c
+            chains.append(chain)
+        return tuple(chains)
 
     @cached_property
     def degrees(self) -> dict[LatticePoint2, int]:
         """Distinct chain elements, by cone then chain order, to their first cone."""
         first: dict[LatticePoint2, int] = {}
+        previous = None
         for i, chain in enumerate(self.chains):
-            for p in chain:
-                first.setdefault(p, i)
+            if chain is not previous:  # a repeated chain adds no element
+                for p in chain:
+                    first.setdefault(p, i)
+                previous = chain
         return first
 
 
 def build_fan(a: Sequence[int], b: Sequence[int]) -> Fan:
-    """Build the fan of any valid pair (a, b), as ``fan_order`` checks and
-    sorts it; the rays and cones derived from its columns are built unchecked."""
-    a, b, order = fan_order(a, b)
-    rays = [_point(0, 1)]
-    for x, y in zip(b, a):
-        g = gcd(x, y)
-        rays.append(_point(x // g, y // g))
-    rays.append(_point(1, 0))
-    return Fan(a, b, order, tuple(map(_cone, rays[1:], rays)))
+    """Build the fan of any valid pair (a, b), fan ordered as by ``fan_order``.
+
+    The pair is checked once; the rays and cones derived from its columns are
+    built unchecked.  Each distinct ray, sentinels included, gets one point;
+    a run of c columns on one ray gives the cone from the previous ray and
+    c - 1 copies of one degenerate cone object on it, which share one chain
+    in ``Fan.chains``.  The cones still compare by value."""
+    a, b = tuple(a), tuple(b)
+    _check_pair(a, b)
+    classes = _ray_classes(a, b)
+    runs = {(0, 1): 1}  # ray -> its copies among (0,1), the column rays, (1,0)
+    for ray, columns in classes:
+        runs[ray] = runs.get(ray, 0) + len(columns)
+    runs[1, 0] = runs.get((1, 0), 0) + 1
+    cones: list[Cone2] = []
+    high = None
+    for (r, s), count in runs.items():
+        low = _point(r, s)
+        if high is not None:
+            cones.append(_cone(low, high))
+        if count > 1:
+            cones += [_cone(low, low)] * (count - 1)
+        high = low
+    return Fan(*_ordered(a, b, classes), tuple(cones))
 
 
 def locate(fan: Fan, p: LatticePoint2) -> int:

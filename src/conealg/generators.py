@@ -176,8 +176,9 @@ def _certified(
     to one, so max(r*a_k, s*b_k) is linear on each.  A cell p of such a
     subcone (h, l) is det(p, h)*l + det(l, p)*h, so by 4 the product of the
     generators the grid walk takes for p is the oracle at p: every cell of
-    every grid passes.  Columns and chain degrees are each visited once, and
-    each degree costs one exponent-tuple comparison; nothing is sorted.
+    every grid passes.  Check 3 takes one gcd per distinct column, chain
+    degrees are each visited once, and each degree costs one exponent-tuple
+    comparison; nothing is sorted.
     """
     cones, chains = fan.cones, fan.chains
     if len(cones) != len(chains) or not all(chains):
@@ -196,7 +197,8 @@ def _certified(
         return False
     if any(lr * hs - ls * hr != 1 for (hr, hs), (lr, ls) in zip(points, points[1:])):
         return False
-    rays = {(y // g, x // g) for x, y in zip(a, b) if (g := gcd(x, y))}  # a_k + b_k > 0
+    columns = dict.fromkeys(zip(a, b))  # each distinct column once, in order
+    rays = {(y // g, x // g) for x, y in columns if (g := gcd(x, y))}  # a_k + b_k > 0
     if not rays.issubset(points):
         return False
     return all(coeffs.get(e) == _max_exponents(a, b, e.r, e.s) for e in elements)

@@ -2,7 +2,9 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -504,6 +506,20 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     )
     assert code == 4
     assert out == "FAIL at (r,s)=(0,1): forced (35/36 components)\n"
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader closes the pipe before the interpreter has started, so the
+    # first flush of the answer meets a broken pipe
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "conealg.cli", "generators", "--a", "5,2", "--b", "2,3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=30) == 1
+    assert err == b""
 
 
 def test_unknown_subcommand_exits_2():

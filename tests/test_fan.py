@@ -1,4 +1,5 @@
 import random
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +14,7 @@ from conealg import (
 )
 from conealg import fans, lattice
 from conealg.fans import locate
-from conealg.lattice import primitive
+from conealg.lattice import _cone, primitive
 from oracles import frac_cone_contains, random_exponent_pair
 
 P = LatticePoint2
@@ -125,6 +126,61 @@ def test_build_fan_cones_pass_the_checked_constructors(columns):
         assert (low, high) == (c.ray_low, c.ray_high)
         assert c == checked and hash(c) == hash(checked)
         assert c == cone(c.ray_low, c.ray_high)
+
+
+def reference_fan_order(a, b):
+    """fan_order as a stable cmp_to_key sort over every column index by the
+    cross product of ratios, the arbiter of the grouping into ray classes."""
+    keep = [i for i in range(len(a)) if a[i] or b[i]]
+
+    def cmp(i, j):
+        lhs, rhs = a[i] * b[j], a[j] * b[i]
+        return (lhs < rhs) - (lhs > rhs)
+
+    keep.sort(key=cmp_to_key(cmp))
+    return tuple(a[i] for i in keep), tuple(b[i] for i in keep), tuple(keep)
+
+
+# (a_i, b_i) columns: small entries, and multiples of a few rays, up to 20
+# digits, so that ratios tie, also on the sentinel rays (b = 0 and a = 0),
+# and both-zero columns occur
+RAYS = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (5, 3)])
+SCALE = st.one_of(st.integers(1, 4), st.integers(10**19, 10**20 - 1))
+TIED = st.one_of(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    st.builds(lambda ray, k: (ray[0] * k, ray[1] * k), RAYS, SCALE),
+)
+
+
+@given(st.lists(TIED, min_size=1, max_size=200)
+       .filter(lambda cs: any(x for x, _ in cs) and any(y for _, y in cs)))
+def test_fan_matches_per_column_reference(columns):
+    a, b = (tuple(v) for v in zip(*columns))
+    sorted_a, sorted_b, order = reference_fan_order(a, b)
+    assert fan_order(a, b) == (sorted_a, sorted_b, order)
+    fan = build_fan(a, b)
+    assert (fan.a, fan.b, fan.order) == (sorted_a, sorted_b, order)
+    rays = [P(0, 1), *(primitive(P(x, y)) for x, y in zip(sorted_b, sorted_a)), P(1, 0)]
+    cones = list(map(_cone, rays[1:], rays))
+    assert list(fan.cones) == cones
+    chains = [hilbert_basis(c).elements for c in cones]
+    assert list(fan.chains) == chains
+    first = {}
+    for i, chain in enumerate(chains):
+        for p in chain:
+            first.setdefault(p, i)
+    assert list(fan.degrees.items()) == list(first.items())
+
+
+def test_chains_call_hilbert_basis_once_per_distinct_cone(calls):
+    # 200 columns on few rays, both-zero columns and ties on both sentinels
+    a = [k % 7 for k in range(200)] + [3, 3, 0, 0, 0]
+    b = [3 * k % 5 for k in range(200)] + [0, 0, 4, 4, 0]
+    fan = build_fan(a, b)
+    seen = calls("lattice.hilbert_basis")
+    fan.chains
+    assert [c for c, in seen] == list(dict.fromkeys(fan.cones))
+    assert len(seen) < 50 < len(fan.cones)
 
 
 def test_build_fan_checks_nothing_twice(monkeypatch):

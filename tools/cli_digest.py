@@ -73,6 +73,11 @@ EXTRAS = [
 for pair in (["--a", "2,5", "--b", "3,2"], ["--a", "1,0,5", "--b", "2,0,1"]):
     EXTRAS += [["fan", *pair, "--format", form] for form in ("text", "json", "svg")]
     EXTRAS += [["generators", *pair], ["verify", *pair, "--rmax", "9", "--smax", "9"]]
+# columns of equal ratio share one ray point and one degenerate cone object:
+# 200 columns on few rays, and ties on the sentinel rays (b = 0 and a = 0)
+for pair in (["--a", WIDE_A, "--b", WIDE_B], ["--a", "3,3,0,0,2", "--b", "0,0,4,4,2"]):
+    EXTRAS += [["fan", *pair, "--format", form] for form in ("text", "json", "svg")]
+    EXTRAS += [["generators", *pair, "--format", "json"]]
 
 # fan-algebra specs and their grids: a principal power one past the default
 # cap (exit 3, raised by the closed form), and a non-principal spec on three
