@@ -56,7 +56,7 @@ EXIT_VERIFY = 4
 
 def _csv_ints(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError as e:
         limit, hint, _ = str(e).partition("; use sys.")  # only past the digit limit
         raise argparse.ArgumentTypeError(

@@ -16,7 +16,14 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .fans import Fan, _check_pair, build_fan, fan_order
 from .lattice import LatticePoint2, _point
-from .monomials import BigradedMonomial, PowerCapError, _candidate_cap, _max_exponents, _monomial
+from .monomials import (
+    BigradedMonomial,
+    PowerCapError,
+    _candidate_cap,
+    _exponent_kernel,
+    _max_exponents,
+    _monomial,
+)
 
 
 @dataclass(frozen=True)
@@ -41,7 +48,11 @@ def intersection_generators(a: Sequence[int], b: Sequence[int]) -> GeneratorSet:
     """
     a, b = tuple(a), tuple(b)
     fan = build_fan(a, b)  # checks the pair
-    gens = (BigradedMonomial(_monomial(_max_exponents(a, b, p.r, p.s)), p) for p in fan.degrees)
+    columns, spread = _exponent_kernel(a, b)
+    gens = (
+        BigradedMonomial(_monomial(_max_exponents(columns, spread, p.r, p.s)), p)
+        for p in fan.degrees
+    )
     return GeneratorSet(tuple(gens), fan)
 
 
@@ -154,14 +165,15 @@ def _verify_grid(
 
 
 def _certified(
-    a: tuple[int, ...],
-    b: tuple[int, ...],
+    columns: tuple[tuple[int, int], ...],
+    spread: Callable[[list[int]], tuple[int, ...]],
     fan: Fan,
     coeffs: Mapping[LatticePoint2, tuple[int, ...]],
 ) -> bool:
     """Whether ``coeffs``, the generators' exponent tuples by degree,
     generate every component of the intersection algebra of (x^a) and (x^b),
-    read off ``fan`` without trusting it:
+    given as their ``_exponent_kernel`` (distinct columns and spread), read
+    off ``fan`` without trusting it:
 
     1. the cones run contiguously from the ray (0,1) to (1,0);
     2. each chain runs from its cone's ray_high to its ray_low in N^2, with
@@ -169,7 +181,7 @@ def _certified(
     3. the ray primitive(b_k, a_k) of every column with a_k + b_k > 0 is a
        chain element;
     4. the generator at each distinct chain degree (r, s) has the exponents
-       ``_max_exponents(a, b, r, s)``.
+       ``_max_exponents(columns, spread, r, s)``.
 
     By 1 and 2 the chains, end to end, split the quadrant into subcones of
     determinant 1 in descending slope, and by 3 no column's ray is interior
@@ -177,8 +189,9 @@ def _certified(
     subcone (h, l) is det(p, h)*l + det(l, p)*h, so by 4 the product of the
     generators the grid walk takes for p is the oracle at p: every cell of
     every grid passes.  Check 3 takes one gcd per distinct column, chain
-    degrees are each visited once, and each degree costs one exponent-tuple
-    comparison; nothing is sorted.
+    degrees are each visited once, and at each degree the oracle is computed
+    once per distinct column and spread to all n columns before one
+    exponent-tuple comparison; nothing is sorted.
     """
     cones, chains = fan.cones, fan.chains
     if len(cones) != len(chains) or not all(chains):
@@ -197,11 +210,10 @@ def _certified(
         return False
     if any(lr * hs - ls * hr != 1 for (hr, hs), (lr, ls) in zip(points, points[1:])):
         return False
-    columns = dict.fromkeys(zip(a, b))  # each distinct column once, in order
     rays = {(y // g, x // g) for x, y in columns if (g := gcd(x, y))}  # a_k + b_k > 0
     if not rays.issubset(points):
         return False
-    return all(coeffs.get(e) == _max_exponents(a, b, e.r, e.s) for e in elements)
+    return all(coeffs.get(e) == _max_exponents(columns, spread, e.r, e.s) for e in elements)
 
 
 def verify_generation(
@@ -218,19 +230,20 @@ def verify_generation(
     the grid: if the chains of ``gens.fan`` subdivide the quadrant into
     determinant-1 subcones on whose walls every column ray lies, and each
     generator at a chain degree has the componentwise-max exponents there
-    (one exponent-tuple comparison per degree), then the oracle is linear
-    on each subcone and every cell of any grid is the product the walk below
-    would form, so the report is a pass.  If any check fails, the grid is
-    walked, and its report is the verdict.
+    (the oracle computed once per distinct column and spread to all n
+    columns, then one exponent-tuple comparison per degree), then the oracle
+    is linear on each subcone and every cell of any grid is the product the
+    walk below would form, so the report is a pass.  If any check fails, the
+    grid is walked, and its report is the verdict.
 
     Row by row (see ``_verify_grid``), write each (r, s) along the bracketing
     unimodular pair of its cone's chain in ``gens.fan.chains``, add the
     exponent tuples of the generators at those degrees (which must be in
-    ``gens``) with their multiplicities, and compare the sum with the tuple
-    of max(r*a_k, s*b_k), computed for every cell.  Failures are reported,
-    never raised.  Coefficients of another length raise ValueError; a grid
-    of more cells than the candidate cap raises PowerCapError, certified or
-    not.
+    ``gens``) with their multiplicities, and compare the sum, column by
+    column, with the tuple of max(r*a_k, s*b_k), computed for every cell by
+    the certificate's oracle.  Failures are reported, never raised.
+    Coefficients of another length raise ValueError; a grid of more cells
+    than the candidate cap raises PowerCapError, certified or not.
     """
     _check_grid(r_max, s_max)
     a, b = tuple(a), tuple(b)
@@ -239,7 +252,8 @@ def verify_generation(
     for degree, v in coeffs.items():
         if len(v) != len(a):
             raise ValueError(f"generator at degree {degree} has {len(v)} exponents, expected {len(a)}")
-    if _certified(a, b, gens.fan, coeffs):
+    columns, spread = _exponent_kernel(a, b)
+    if _certified(columns, spread, gens.fan, coeffs):
         return VerificationReport(True, _grid_cells(r_max, s_max), 0, None, None)
     zero = (0,) * len(a)
 
@@ -254,7 +268,7 @@ def verify_generation(
     )
     return _verify_grid(
         gens.fan, coeffs, r_max, s_max, product,
-        lambda _, r, s: _max_exponents(a, b, r, s),
+        lambda _, r, s: _max_exponents(columns, spread, r, s),
         reasons,
     )
 

@@ -26,8 +26,9 @@ of cells.
 import os
 import re
 from dataclasses import dataclass
-from operator import add, le
-from typing import Collection, Iterable, Optional, Sequence
+from itertools import count
+from operator import add, itemgetter, le
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .lattice import LatticePoint2
 
@@ -295,13 +296,37 @@ def principal_intersection(
     _natural("s", s)
     _naturals("a entries", a)
     _naturals("b entries", b)
-    return _monomial(_max_exponents(a, b, r, s))
+    return _monomial(_max_exponents(*_exponent_kernel(a, b), r, s))
 
 
-def _max_exponents(a: tuple[int, ...], b: tuple[int, ...], r: int, s: int) -> tuple[int, ...]:
+def _exponent_kernel(
+    a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[tuple[tuple[int, int], ...], Callable[[list[int]], tuple[int, ...]]]:
+    """The distinct columns (a_k, b_k) of a pair of equal length, in order of
+    first occurrence, and the spread that maps a list of one value per
+    distinct column to the tuple of one value per column: an ``itemgetter``
+    over each column's index among the distinct ones, or ``tuple`` when no
+    column repeats (an ``itemgetter`` of one index returns a bare item, not a
+    tuple).  Built once per pair, it serves every degree of
+    ``_max_exponents``."""
+    columns = tuple(dict.fromkeys(zip(a, b)))
+    if len(columns) == len(a):
+        return columns, tuple
+    index = dict(zip(columns, count()))
+    return columns, itemgetter(*map(index.__getitem__, zip(a, b)))
+
+
+def _max_exponents(
+    columns: tuple[tuple[int, int], ...],
+    spread: Callable[[list[int]], tuple[int, ...]],
+    r: int,
+    s: int,
+) -> tuple[int, ...]:
     """Componentwise max(r*a_k, s*b_k), unchecked: the exponents of the
-    generator of (x^a)^r cap (x^b)^s for a checked pair and degree."""
-    return tuple([x * r if x * r > y * s else y * s for x, y in zip(a, b)])
+    generator of (x^a)^r cap (x^b)^s for a checked pair, given as its
+    ``_exponent_kernel``, and degree.  The max is taken once per distinct
+    column and spread to all columns."""
+    return spread([p if (p := x * r) > (q := y * s) else q for x, y in columns])
 
 
 @dataclass(frozen=True, order=True)

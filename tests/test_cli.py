@@ -522,6 +522,18 @@ def test_closed_stdout_exits_1_without_a_traceback():
     assert err == b""
 
 
+def test_pool_timing_closed_stdout_exits_1_without_a_traceback():
+    root = Path(__file__).resolve().parents[1]
+    child = subprocess.Popen(
+        [sys.executable, str(root / "tools" / "pool_timing.py"), "--passes", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conealg import (
     Monomial,
@@ -16,7 +16,7 @@ from conealg import (
     principal_cap_maximal_power,
     principal_intersection,
 )
-from conealg.monomials import default_variables, unit_monomial
+from conealg.monomials import _exponent_kernel, _max_exponents, default_variables, unit_monomial
 from oracles import brute_intersection, brute_minimal_generators, divides
 
 M = Monomial
@@ -151,6 +151,40 @@ def test_principal_intersection_agrees_with_ideal_path(a, b):
         for s in range(11):
             via_ideals = brute_intersection(ideal_power(ia, r), ideal_power(ib, s))
             assert via_ideals.gens == {principal_intersection(a, b, r, s)}
+
+
+def per_column_max_exponents(a, b, r, s):
+    """max(r*a_k, s*b_k) with one comparison per column, the formula the
+    distinct-column kernel replaced: its reference."""
+    return tuple([x * r if x * r > y * s else y * s for x, y in zip(a, b)])
+
+
+# entries 0..6 and 20-digit ones; degrees 0 (r = 0 or s = 0), small and 20-digit
+ENTRY = st.one_of(st.integers(0, 6), st.integers(10**19, 10**20 - 1))
+DEGREE = st.one_of(st.just(0), st.integers(1, 50), st.integers(10**19, 10**20 - 1))
+COLUMN = st.tuples(ENTRY, ENTRY)
+KERNEL_COLUMNS = st.one_of(
+    # heavy repetition: 1-200 columns drawn from at most four
+    st.lists(COLUMN, min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=200)
+    ),
+    st.lists(COLUMN, min_size=1, max_size=200, unique=True),  # all distinct
+    st.lists(COLUMN, min_size=1, max_size=200),
+)
+
+
+@given(KERNEL_COLUMNS, DEGREE, DEGREE)
+@example([(5, 2)], 3, 4)  # n = 1
+@example([(0, 0), (3, 0), (0, 4), (0, 0), (3, 0), (0, 4)], 2, 3)  # zero columns, repeated
+@example([(12345678901234567890, 1)] * 3 + [(1, 12345678901234567890)], 0, 7)
+@example([(2, 5), (2, 5)], 9, 0)
+def test_exponent_kernel_matches_per_column_reference(columns, r, s):
+    a, b = (tuple(v) for v in zip(*columns))
+    kernel = _exponent_kernel(a, b)
+    assert kernel[0] == tuple(dict.fromkeys(columns))
+    expected = per_column_max_exponents(a, b, r, s)
+    assert _max_exponents(*kernel, r, s) == expected
+    assert principal_intersection(a, b, r, s).exponents == expected
 
 
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))

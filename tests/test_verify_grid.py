@@ -33,7 +33,7 @@ from conealg import generators
 from conealg.fans import Fan, locate
 from conealg.generators import _verify_grid
 from conealg.lattice import _cone, _point
-from conealg.monomials import PowerCapError
+from conealg.monomials import DEFAULT_MAX_CANDIDATES, PowerCapError, _exponent_kernel
 from oracles import (
     reference_verify_fan_algebra,
     reference_verify_generation,
@@ -47,9 +47,10 @@ M = Monomial
 CHAIN_TAMPERINGS = ("none", "drop", "square", "interior", "no_low", "reversed", "moved_high")
 # Those of verify_generation add: a dropped cone, a cone with its rays
 # swapped, a fan missing a column's ray (a "foreign" fan, whose generators
-# still match the oracle at its chain degrees), and a generator altered only
-# at a degree outside the grid.
-TAMPERINGS = CHAIN_TAMPERINGS + ("no_cone", "swapped", "foreign", "outside")
+# still match the oracle at its chain degrees), a generator altered only
+# at a degree outside the grid, and one exponent of a generator on the grid
+# raised by 1 at the later occurrence of a repeated column ("repeat").
+TAMPERINGS = CHAIN_TAMPERINGS + ("no_cone", "swapped", "foreign", "outside", "repeat")
 
 
 def _tamper_generators(gens, kind, pick):
@@ -84,6 +85,20 @@ def _tamper_chains(chains, kind, pick):
     else:
         chain = chain[::-1]
     return chains[:i] + (chain,) + chains[i + 1 :]
+
+
+def _bump_repeated_column(gens, a, b, pick, r_max, s_max):
+    """Raise exponent k of one generator whose degree lies on the grid by 1,
+    k the later occurrence of a repeated column (a_k, b_k): an oracle that
+    compared only the distinct columns would miss it."""
+    first = {}
+    later = [k for k, column in enumerate(zip(a, b)) if first.setdefault(column, k) != k]
+    on_grid = [g for g, bm in enumerate(gens) if bm.degree.r <= r_max and bm.degree.s <= s_max]
+    assume(later and on_grid)
+    k, g = later[pick % len(later)], on_grid[pick % len(on_grid)]
+    exponents = list(gens[g].coeff.exponents)
+    exponents[k] += 1
+    return gens[:g] + (BigradedMonomial(M(tuple(exponents)), gens[g].degree),) + gens[g + 1 :]
 
 
 def _tampered_fan(fan, kind, pick):
@@ -146,6 +161,9 @@ def _tampered(a, b, gs, kind, pick, r_max, s_max):
     elif kind == "foreign":
         gens = _without_a_ray(a, b, fan, pick)
         assume(gens is not None)
+    elif kind == "repeat":
+        bumped = _bump_repeated_column(gs.generators, a, b, pick, r_max, s_max)
+        gens = GeneratorSet(bumped, fan)
     else:  # "outside": square the generator at a degree e, and keep e off the grid
         k = pick % len(gs.generators)
         e = gs.generators[k].degree
@@ -195,6 +213,38 @@ def test_verify_generation_matches_per_cell_reference(ab, r_max, s_max, kind, pi
     outcome, walked = _walked(a, b, gens, r_max, s_max)
     assert outcome == _outcome(reference_verify_generation, a, b, gens, r_max, s_max)
     assert walked == (kind != "none")
+
+
+@st.composite
+def repeated_pairs(draw):
+    """A pair of 1-6 columns with entries 0..6 and one column repeated."""
+    a, b = draw(st.integers(1, 6).flatmap(_pairs))
+    j = draw(st.integers(0, len(a) - 1))
+    at = draw(st.integers(j + 1, len(a)))
+    return a[:at] + [a[j]] + a[at:], b[:at] + [b[j]] + b[at:]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(repeated_pairs(), st.integers(1, 8), st.integers(1, 8), st.integers(0, 10**6))
+@example(([2, 5, 2], [1, 1, 1]), 3, 3, 0)
+@example(([0, 3, 0, 0], [0, 1, 0, 2]), 2, 4, 1)  # a repeated both-zero column
+def test_bump_at_a_repeated_column_fails_both_verifiers(ab, r_max, s_max, pick):
+    """One exponent of a generator on the grid, raised by 1 at the later
+    occurrence of a repeated column, is rejected by the certificate, and
+    both verifiers and their per-cell references fail it alike."""
+    a, b = ab
+    gens, _, _ = _tampered(a, b, intersection_generators(a, b), "repeat", pick, r_max, s_max)
+    coeffs = {bm.degree: bm.coeff.exponents for bm in gens.generators}
+    assert not generators._certified(*_exponent_kernel(tuple(a), tuple(b)), gens.fan, coeffs)
+    outcome, walked = _walked(a, b, gens, r_max, s_max)
+    assert walked and outcome[0] is False
+    assert outcome == _outcome(reference_verify_generation, a, b, gens, r_max, s_max)
+    spec = intersection_as_fan_algebra(a, b)
+    bumped = _bump_repeated_column(fan_algebra_generators(spec), a, b, pick, r_max, s_max)
+    outcome = _outcome(verify_fan_algebra, spec, bumped, r_max, s_max)
+    assert outcome[0] is False
+    cap = DEFAULT_MAX_CANDIDATES
+    assert outcome == _outcome(reference_verify_fan_algebra, spec, bumped, r_max, s_max, cap)
 
 
 @st.composite

@@ -78,6 +78,17 @@ for pair in (["--a", "2,5", "--b", "3,2"], ["--a", "1,0,5", "--b", "2,0,1"]):
 for pair in (["--a", WIDE_A, "--b", WIDE_B], ["--a", "3,3,0,0,2", "--b", "0,0,4,4,2"]):
     EXTRAS += [["fan", *pair, "--format", form] for form in ("text", "json", "svg")]
     EXTRAS += [["generators", *pair, "--format", "json"]]
+# the exponent oracle's spread at its extremes: a single column (no index to
+# spread), and 60 columns that are all the same one
+EXTRAS += [
+    ["generators", "--a", "5", "--b", "2"],
+    ["verify", "--a", "5", "--b", "2", "--rmax", "9", "--smax", "9"],
+]
+SAME_A, SAME_B = ",".join(["3"] * 60), ",".join(["2"] * 60)
+EXTRAS += [
+    ["generators", "--a", SAME_A, "--b", SAME_B, "--format", "json"],
+    ["verify", "--a", SAME_A, "--b", SAME_B, "--rmax", "12", "--smax", "12"],
+]
 
 # fan-algebra specs and their grids: a principal power one past the default
 # cap (exit 3, raised by the closed form), and a non-principal spec on three

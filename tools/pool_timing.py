@@ -15,10 +15,13 @@ mean per bucket of 50 variables.
 
 ``--root`` names the checkout whose ``src`` and ``bench`` are imported
 (default: the one holding this script), as in ``tools/cli_digest.py``.
+If stdout is closed before the report is written (piped into ``head``, say),
+it exits with code 1 and no traceback, as the CLI does.
 """
 
 import argparse
 import io
+import os
 import statistics
 import sys
 import tempfile
@@ -56,15 +59,23 @@ def main(argv=None):
                     sink.truncate()
     ms = [t * 1e3 for t in best]
     deciles = statistics.quantiles(ms, n=10, method="inclusive")
-    print(f"{args.workload} seed {args.seed}: {len(ops)} ops, min of {args.passes} passes: "
-          f"mean {statistics.fmean(ms):.3f} p50 {deciles[4]:.3f} p90 {deciles[8]:.3f} ms")
     buckets = {}
     for op, t in zip(ops, ms):
         buckets.setdefault(op.params["n"] // 50, []).append(t)
-    for k in sorted(buckets):
-        print(f"  n {50 * k}-{50 * k + 49}: {len(buckets[k])} ops, "
-              f"mean {statistics.fmean(buckets[k]):.3f} ms")
+    try:
+        print(f"{args.workload} seed {args.seed}: {len(ops)} ops, min of {args.passes} passes: "
+              f"mean {statistics.fmean(ms):.3f} p50 {deciles[4]:.3f} p90 {deciles[8]:.3f} ms")
+        for k in sorted(buckets):
+            print(f"  n {50 * k}-{50 * k + 49}: {len(buckets[k])} ops, "
+                  f"mean {statistics.fmean(buckets[k]):.3f} ms")
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # the interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
