@@ -9,7 +9,6 @@ from .fan_algebra import (
     SpecFormatError,
     check_fan_linear,
     fan_algebra_generators,
-    graded_component,
     intersection_as_fan_algebra,
     load_fan_algebra_spec,
     principal_cap_algebra,
@@ -28,7 +27,6 @@ from .generators import (
 )
 from .lattice import (
     Cone2,
-    HilbertBasis2,
     LatticePoint2,
     cone,
     hilbert_basis,
@@ -59,7 +57,6 @@ __all__ = [
     "FanLinearFunction",
     "FanLinearityError",
     "GeneratorSet",
-    "HilbertBasis2",
     "LatticePoint2",
     "Monomial",
     "MonomialIdeal",
@@ -75,7 +72,6 @@ __all__ = [
     "fan_order",
     "format_bigraded",
     "format_monomial",
-    "graded_component",
     "hilbert_basis",
     "ideal_power",
     "ideal_product",

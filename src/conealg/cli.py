@@ -19,8 +19,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .fan_algebra import (
-    FanLinearityError,
-    SpecFormatError,
     fan_algebra_generators,
     load_fan_algebra_spec,
     verify_fan_algebra,
@@ -36,7 +34,6 @@ from .lattice import LatticePoint2, cone, hilbert_basis
 from .monomials import (
     BigradedMonomial,
     Monomial,
-    MonomialParseError,
     PowerCapError,
     _IDENT,
     check_variable_names,
@@ -70,7 +67,7 @@ def _csv_point(text: str) -> LatticePoint2:
         raise argparse.ArgumentTypeError(f"expected r,s with two integers, got {text!r}")
     try:
         return LatticePoint2(int(parts[0]), int(parts[1]))
-    except (ValueError, TypeError) as e:  # drop the digit limit's hint at a Python call
+    except ValueError as e:  # drop the digit limit's hint at a Python call
         raise argparse.ArgumentTypeError(str(e).partition("; use sys.")[0])
 
 
@@ -378,7 +375,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PowerCapError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAP
-    except (MonomialParseError, SpecFormatError, FanLinearityError, ValueError) as e:
+    except ValueError as e:  # the parse, spec and fan-linearity errors subclass it
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -226,15 +226,10 @@ def verify_generation(
     """Check that every graded component on [0..r_max] x [0..s_max] is a
     product of the supplied generators.
 
-    First an all-degree certificate (``_certified``), in time independent of
-    the grid: if the chains of ``gens.fan`` subdivide the quadrant into
-    determinant-1 subcones on whose walls every column ray lies, and each
-    generator at a chain degree has the componentwise-max exponents there
-    (the oracle computed once per distinct column and spread to all n
-    columns, then one exponent-tuple comparison per degree), then the oracle
-    is linear on each subcone and every cell of any grid is the product the
-    walk below would form, so the report is a pass.  If any check fails, the
-    grid is walked, and its report is the verdict.
+    First the all-degree certificate ``_certified``, in time independent of
+    the grid: when it holds, every cell of any grid is the product the walk
+    below would form, so the report is a pass.  If it fails, the grid is
+    walked, and its report is the verdict.
 
     Row by row (see ``_verify_grid``), write each (r, s) along the bracketing
     unimodular pair of its cone's chain in ``gens.fan.chains``, add the

@@ -389,7 +389,10 @@ def parse_monomial(text: str, variables: Sequence[str]) -> Monomial:
             n = _NUMBER.match(text, pos)
             if not n:
                 raise MonomialParseError("expected an integer exponent after '^'", pos + 1)
-            power = int(n.group(0))
+            try:
+                power = int(n.group(0))
+            except ValueError as e:  # past the digit limit: keep the limit, drop its hint
+                raise MonomialParseError(str(e).partition("; use sys.")[0], pos + 1) from None
             pos = n.end()
         exponents[index[name]] += power
         skip_spaces()

@@ -13,7 +13,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conealg import BigradedMonomial, LatticePoint2, Monomial, build_fan, fan_order
+from conealg import (
+    BigradedMonomial,
+    FanLinearityError,
+    LatticePoint2,
+    Monomial,
+    MonomialParseError,
+    PowerCapError,
+    SpecFormatError,
+    build_fan,
+    fan_order,
+)
 from conealg.cli import _build_parser, generators_to_json, main
 
 GOLDEN_LINES = [
@@ -374,6 +384,53 @@ def test_fan_algebra_integer_past_digit_limit_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: invalid JSON: ") and "digits" in err
     assert "sys." not in err and "Traceback" not in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize("path_kind", ["ideal", "spec"])
+def test_monomial_exponent_past_digit_limit_exits_2(tmp_path, capsys, path_kind):
+    monomial = "x^" + "7" * 5000
+    if path_kind == "ideal":
+        argv = ["generators", "--ideal-i", monomial, "--ideal-j", "y"]
+        prefix = "error: "
+    else:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(SPEC_PAYLOAD, ideals=[[monomial]])))
+        argv = ["fan-algebra", "--spec", str(path)]
+        prefix = "error: ideals[0][0]: "
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"{prefix}Exceeds the limit (4300 digits) for integer string conversion:"
+        " value has 5000 digits (column 3)\n"
+    )
+    assert "sys." not in err
+
+
+@pytest.mark.parametrize(
+    "error,payload,argv,code",
+    [
+        (MonomialParseError, None, ["generators", "--ideal-i", "x^", "--ideal-j", "y"], 2),
+        (SpecFormatError, dict(SPEC_PAYLOAD, extra=1), ["fan-algebra"], 2),
+        (FanLinearityError, dict(SPEC_PAYLOAD, pieces=[[[1, 0], [0, 1]]]), ["fan-algebra"], 2),
+        (PowerCapError, dict(SPEC_PAYLOAD, variables=["x"], ideals=[["x"]],
+                             pieces=[[[0, 1000001], [1000001, 0]]]), ["fan-algebra"], 3),
+    ],
+    ids=["MonomialParseError", "SpecFormatError", "FanLinearityError", "PowerCapError"],
+)
+def test_error_class_exit_code(tmp_path, capsys, error, payload, argv, code):
+    """``main`` maps each error class to its exit code: the three input
+    errors by their common base ValueError, the cap error, which is no
+    ValueError, by its own class."""
+    assert issubclass(error, ValueError) == (code == 2)
+    if payload is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        argv = [*argv, "--spec", str(path)]
+    args = _build_parser().parse_args(argv)
+    with pytest.raises(error) as info:
+        args.handler(args)
+    assert run(capsys, *argv) == (code, "", f"error: {info.value}\n")
 
 
 @pytest.mark.parametrize("version", [True, 1.0])

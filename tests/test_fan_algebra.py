@@ -18,7 +18,6 @@ from conealg import (
     build_fan,
     check_fan_linear,
     fan_algebra_generators,
-    graded_component,
     hilbert_basis,
     ideal_power,
     ideal_product,
@@ -31,7 +30,7 @@ from conealg import (
     principal_cap_maximal_power,
     verify_fan_algebra,
 )
-from conealg.fan_algebra import _product_of_powers
+from conealg.fan_algebra import _product_of_powers, graded_component
 from conealg.monomials import default_variables
 from oracles import (
     brute_intersection,

@@ -6,8 +6,8 @@ Run from the root of a checkout, stdlib only:
 
 For each seed it builds the generate-thin, verify-grid and fan-algebra pools
 with ``bench/workloads.build`` (spec files go to a temporary directory), adds
-the fixed ``EXTRAS`` argvs and a ``fan-algebra --verify`` call on each spec of
-``SPEC_EXTRAS`` (written to that directory), calls ``conealg.cli.main`` in
+the fixed ``EXTRAS`` argvs and the ``fan-algebra`` calls of ``SPEC_EXTRAS`` on
+the files of ``SPECS`` (written to that directory), calls ``conealg.cli.main`` in
 this process on each, and feeds argv, exit code, stdout and stderr into one
 sha256.  The temporary directory's path is replaced by ``<spec>`` first, so
 two runs agree whenever the CLI answers alike.  It prints one line per pool
@@ -89,17 +89,32 @@ EXTRAS += [
     ["generators", "--a", SAME_A, "--b", SAME_B, "--format", "json"],
     ["verify", "--a", SAME_A, "--b", SAME_B, "--rmax", "12", "--smax", "12"],
 ]
+# the monomial-text input: the pinned pair with inferred and with given
+# variables, its m2check script, and a parse error (exit 2)
+PINNED = ["generators", "--ideal-i", "x^5*y^2", "--ideal-j", "x^2*y^3"]
+EXTRAS += [PINNED, [*PINNED, "--vars", "x,y"], [*PINNED, "--format", "m2check"]]
+EXTRAS += [["generators", "--ideal-i", "x^", "--ideal-j", "y"]]
 
-# fan-algebra specs and their grids: a principal power one past the default
-# cap (exit 3, raised by the closed form), and a non-principal spec on three
-# cones, whose components fold principal powers into one translate
-SPEC_EXTRAS = {
-    "cap": ({"variables": ["x"], "a": [1], "b": [1], "ideals": [["x"]],
-             "pieces": [[[0, 1000001], [1000001, 0]]]}, "2x2"),
-    "two-ideal": ({"variables": ["x", "y"], "a": [2, 1], "b": [1, 2],
-                   "ideals": [["x", "y^2"], ["y"]],
-                   "pieces": [[[0, 1], [2, 0], [2, 0]], [[0, 2], [0, 2], [1, 0]]]}, "6x6"),
+# fan-algebra specs: a principal power one past the default cap (exit 3,
+# raised by the closed form), a non-principal spec on three cones, whose
+# components fold principal powers into one translate, and a file with an
+# unknown field (exit 2)
+SPECS = {
+    "cap": {"variables": ["x"], "a": [1], "b": [1], "ideals": [["x"]],
+            "pieces": [[[0, 1000001], [1000001, 0]]]},
+    "two-ideal": {"variables": ["x", "y"], "a": [2, 1], "b": [1, 2],
+                  "ideals": [["x", "y^2"], ["y"]],
+                  "pieces": [[[0, 1], [2, 0], [2, 0]], [[0, 2], [0, 2], [1, 0]]]},
+    "unknown-field": {"variables": ["x"], "a": [1], "b": [1], "ideals": [["x"]],
+                      "pieces": [[[1, 0], [0, 1]]], "extra": 1},
 }
+# the fan-algebra calls on them, each a spec name and the options after --spec
+SPEC_EXTRAS = [
+    ("cap", ["--verify", "2x2"]),
+    ("two-ideal", ["--verify", "6x6"]),
+    ("two-ideal", ["--format", "json", "--verify", "4x4"]),
+    ("unknown-field", []),
+]
 
 
 def _answer(main, argv):
@@ -141,11 +156,10 @@ def main(argv=None):
                     total.update(record)
                 count += len(ops)
                 print(f"{workload} seed {seed}: {len(ops)} ops sha256 {pool.hexdigest()}")
-        extras = list(EXTRAS)
-        for name, (spec, grid) in SPEC_EXTRAS.items():
-            path = Path(tmp) / f"{name}.json"
-            path.write_text(json.dumps(spec))
-            extras.append(["fan-algebra", "--spec", str(path), "--verify", grid])
+        for name, spec in SPECS.items():
+            (Path(tmp) / f"{name}.json").write_text(json.dumps(spec))
+        extras = EXTRAS + [["fan-algebra", "--spec", str(Path(tmp) / f"{name}.json"), *options]
+                           for name, options in SPEC_EXTRAS]
         for extra in extras:
             total.update(_record(cli_main, extra, tmp))
         count += len(extras)
