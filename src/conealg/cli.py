@@ -11,7 +11,6 @@ cap exceeded, 4 verification failure.
 """
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -100,6 +99,8 @@ def _infer_variables(*texts: str) -> tuple[str, ...]:
 
 
 def _json_dumps(payload: dict) -> str:
+    import json  # imported here: only --format json needs it, and it is slow to import
+
     return json.dumps(payload, indent=2)
 
 

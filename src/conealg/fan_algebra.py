@@ -11,15 +11,13 @@ decision procedure used here.  A failed comparison yields the subadditivity
 witness directly: a genuine violating pair, not necessarily the smallest.
 """
 
-import json
-from dataclasses import dataclass, field
 from functools import cache
 from operator import add
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .fans import Fan, build_fan, locate
 from .generators import VerificationReport, _check_grid, _verify_grid
-from .lattice import LatticePoint2, _point, det
+from .lattice import LatticePoint2, _point, _value_class, det
 from .monomials import (
     BigradedMonomial,
     Monomial,
@@ -49,12 +47,15 @@ class FanLinearityError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
+@_value_class()
 class FanLinearFunction:
     """A validated fan-linear function; construct via check_fan_linear."""
 
     fan: Fan
     pieces: tuple[tuple[int, int], ...]
+
+    def __init__(self, fan, pieces):
+        self.__dict__.update(fan=fan, pieces=pieces)
 
     def piece_value(self, i: int, p: LatticePoint2) -> int:
         alpha, beta = self.pieces[i]
@@ -139,7 +140,7 @@ def check_fan_linear(
     return f
 
 
-@dataclass(frozen=True)
+@_value_class()
 class FanAlgebraSpec:
     """Ideals I_1..I_n with fan-linear exponent functions f_1..f_n over one
     shared fan: the data of the graded algebra with (r, s) component
@@ -158,25 +159,30 @@ class FanAlgebraSpec:
     variables: tuple[str, ...]
     ideals: tuple[MonomialIdeal, ...]
     functions: tuple[FanLinearFunction, ...]
-    _power: Callable[[MonomialIdeal, int, int], MonomialIdeal] = field(
-        default_factory=lambda: cache(ideal_power), init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        if len(self.ideals) != len(self.functions) or not self.ideals:
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        ideals: tuple[MonomialIdeal, ...],
+        functions: tuple[FanLinearFunction, ...],
+    ):
+        if len(ideals) != len(functions) or not ideals:
             raise ValueError("need equally many ideals and functions, at least one each")
-        check_variable_names(self.variables)
-        for ideal in self.ideals:
-            if ideal.nvars != len(self.variables):
+        check_variable_names(variables)
+        for ideal in ideals:
+            if ideal.nvars != len(variables):
                 raise ValueError(
-                    f"ideal arity {ideal.nvars} does not match {len(self.variables)} variables"
+                    f"ideal arity {ideal.nvars} does not match {len(variables)} variables"
                 )
             if ideal.is_zero():
                 raise ValueError("ideals must be nonzero")
-        fan = self.functions[0].fan
-        for f in self.functions:
+        fan = functions[0].fan
+        for f in functions:
             if f.fan != fan:
                 raise ValueError("all functions must share one fan")
+        # _power is no field: it takes no part in ==, hash or repr
+        self.__dict__.update(variables=variables, ideals=ideals, functions=functions,
+                             _power=cache(ideal_power))
 
     @property
     def fan(self) -> Fan:
@@ -375,6 +381,8 @@ def load_fan_algebra_spec(text: str) -> FanAlgebraSpec:
     Raises SpecFormatError with the offending field, or FanLinearityError if a
     piece list is not fan-linear.
     """
+    import json  # imported here: only spec files need it, and it is slow to import
+
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested

@@ -8,12 +8,11 @@ cover the first quadrant.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from math import gcd
 from typing import Sequence
 
-from .lattice import Cone2, LatticePoint2, _cone, _point, det, hilbert_basis
+from .lattice import Cone2, LatticePoint2, _cone, _point, _value_class, det, hilbert_basis
 from .monomials import _naturals
 
 
@@ -80,7 +79,7 @@ def fan_order(
     return _ordered(a, b, _ray_classes(a, b))
 
 
-@dataclass(frozen=True)
+@_value_class()
 class Fan:
     """The n+1 cones C_0..C_n over consecutive rays (b_i, a_i) of the fan
     ordered columns a, b (``order[j]`` is the original index at position j),
@@ -99,6 +98,9 @@ class Fan:
     b: tuple[int, ...]
     order: tuple[int, ...]
     cones: tuple[Cone2, ...]
+
+    def __init__(self, a, b, order, cones):
+        self.__dict__.update(a=a, b=b, order=order, cones=cones)
 
     @cached_property
     def chains(self) -> tuple[tuple[LatticePoint2, ...], ...]:

@@ -9,13 +9,11 @@ asymptotic containment limits, and runs the bounded-grid verifier that
 reconstructs every graded component from the generators.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .fans import Fan, _check_pair, build_fan, fan_order
-from .lattice import LatticePoint2, _point
+from .lattice import LatticePoint2, _point, _value_class
 from .monomials import (
     BigradedMonomial,
     PowerCapError,
@@ -26,7 +24,7 @@ from .monomials import (
 )
 
 
-@dataclass(frozen=True)
+@_value_class()
 class GeneratorSet:
     """A deduplicated generating set and the fan it was read from.
 
@@ -38,6 +36,9 @@ class GeneratorSet:
 
     generators: tuple[BigradedMonomial, ...]
     fan: Fan
+
+    def __init__(self, generators, fan):
+        self.__dict__.update(generators=generators, fan=fan)
 
 
 def intersection_generators(a: Sequence[int], b: Sequence[int]) -> GeneratorSet:
@@ -56,7 +57,7 @@ def intersection_generators(a: Sequence[int], b: Sequence[int]) -> GeneratorSet:
     return GeneratorSet(tuple(gens), fan)
 
 
-@dataclass(frozen=True)
+@_value_class()
 class VerificationReport:
     """Outcome of a bounded-grid reconstruction check; the first failure is
     the lexicographically smallest failing degree."""
@@ -66,6 +67,10 @@ class VerificationReport:
     failures: int
     first_failure: Optional[LatticePoint2]
     reason: Optional[str]
+
+    def __init__(self, passed, total, failures, first_failure, reason):
+        self.__dict__.update(passed=passed, total=total, failures=failures,
+                             first_failure=first_failure, reason=reason)
 
     def summary(self) -> str:
         if self.passed:
@@ -271,10 +276,10 @@ def verify_generation(
 class AsymptoticLimits(NamedTuple):
     """Exact limits of the containment exponents between powers of I and J."""
 
-    l_I_of_J: Fraction
-    L_I_of_J: Fraction
-    l_J_of_I: Fraction
-    L_J_of_I: Fraction
+    l_I_of_J: "Fraction"
+    L_I_of_J: "Fraction"
+    l_J_of_I: "Fraction"
+    L_J_of_I: "Fraction"
 
 
 def asymptotic_limits(a: Sequence[int], b: Sequence[int]) -> AsymptoticLimits:
@@ -285,6 +290,8 @@ def asymptotic_limits(a: Sequence[int], b: Sequence[int]) -> AsymptoticLimits:
     ratios, so the reciprocal identities l_I(J)*L_J(I) = l_J(I)*L_I(J) = 1
     hold by construction.
     """
+    from fractions import Fraction  # imported here: it is slow to import, and only this needs it
+
     a, b = tuple(a), tuple(b)
     # an int entry <= 0 means the radicals differ; fan_order checks the lengths
     # first and rejects every entry that is not an int

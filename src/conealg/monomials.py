@@ -25,12 +25,11 @@ of cells.
 
 import os
 import re
-from dataclasses import dataclass
 from itertools import count
 from operator import add, itemgetter, le
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
-from .lattice import LatticePoint2
+from .lattice import LatticePoint2, _value_class
 
 DEFAULT_MAX_CANDIDATES = 10**6
 CAP_ENV_VAR = "CONEALG_MAX_CANDIDATES"
@@ -96,16 +95,25 @@ def default_variables(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
-@dataclass(frozen=True, order=True)
+@_value_class(order=True)
 class Monomial:
     """A monomial recorded by its exponent vector over x_1..x_n."""
 
     exponents: tuple[int, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.exponents, tuple):
-            object.__setattr__(self, "exponents", tuple(self.exponents))
-        _naturals("exponents", self.exponents)
+    def __init__(self, exponents: tuple[int, ...]):
+        if not isinstance(exponents, tuple):
+            exponents = tuple(exponents)
+        _naturals("exponents", exponents)
+        self.__dict__["exponents"] = exponents
+
+    def __eq__(self, other):  # spelled out: monomials are hashed and compared on hot paths
+        if other.__class__ is self.__class__:
+            return self.exponents == other.exponents
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exponents,))
 
     @property
     def nvars(self) -> int:
@@ -125,11 +133,6 @@ class Monomial:
     def __pow__(self, k: int) -> "Monomial":
         _natural("exponent", k)
         return _monomial(tuple(e * k for e in self.exponents))
-
-
-def unit_monomial(nvars: int) -> Monomial:
-    _natural("nvars", nvars)
-    return _monomial((0,) * nvars)
 
 
 def _monomial(exponents: tuple[int, ...]) -> Monomial:
@@ -329,12 +332,15 @@ def _max_exponents(
     return spread([p if (p := x * r) > (q := y * s) else q for x, y in columns])
 
 
-@dataclass(frozen=True, order=True)
+@_value_class(order=True)
 class BigradedMonomial:
     """A monomial coefficient together with its (u, v)-degree."""
 
     coeff: Monomial
     degree: LatticePoint2
+
+    def __init__(self, coeff, degree):
+        self.__dict__.update(coeff=coeff, degree=degree)
 
 
 # --- text syntax: x^5*y^2, exponent 1 omitted, unit monomial prints as 1 ---

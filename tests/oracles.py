@@ -33,6 +33,7 @@ from conealg import (
 )
 from conealg.fans import locate
 from conealg.lattice import det
+from conealg.monomials import _natural
 
 
 def frac_cone_contains(c: Cone2, p: LatticePoint2) -> bool:
@@ -157,6 +158,12 @@ def random_exponent_pair(rng, max_len=4, max_entry=6):
         b = tuple(rng.randint(0, max_entry) for _ in range(n))
         if any(a) and any(b):
             return a, b
+
+
+def unit_monomial(nvars: int) -> Monomial:
+    """The monomial 1 over nvars variables."""
+    _natural("nvars", nvars)
+    return Monomial((0,) * nvars)
 
 
 def divides(g: Monomial, m: Monomial) -> bool:

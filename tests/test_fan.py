@@ -187,8 +187,8 @@ def test_build_fan_checks_nothing_twice(monkeypatch):
     def checked_again(*args):
         raise AssertionError("build_fan re-checked a value that fan_order checked")
 
-    monkeypatch.setattr(LatticePoint2, "__post_init__", checked_again)
-    monkeypatch.setattr(Cone2, "__post_init__", checked_again)
+    monkeypatch.setattr(LatticePoint2, "__init__", checked_again)
+    monkeypatch.setattr(Cone2, "__init__", checked_again)
     monkeypatch.setattr(lattice, "primitive", checked_again)
     monkeypatch.setattr(fans, "primitive", checked_again, raising=False)
     fan = build_fan((5, 0, 2, 1), (2, 0, 3, 0))

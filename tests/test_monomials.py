@@ -16,8 +16,8 @@ from conealg import (
     principal_cap_maximal_power,
     principal_intersection,
 )
-from conealg.monomials import _exponent_kernel, _max_exponents, default_variables, unit_monomial
-from oracles import brute_intersection, brute_minimal_generators, divides
+from conealg.monomials import _exponent_kernel, _max_exponents, default_variables
+from oracles import brute_intersection, brute_minimal_generators, divides, unit_monomial
 
 M = Monomial
 
