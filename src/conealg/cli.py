@@ -283,8 +283,8 @@ def _cmd_limits(args) -> int:
 
 def _cmd_fan_algebra(args) -> int:
     try:
-        text = Path(args.spec).read_text()
-    except OSError as e:
+        text = Path(args.spec).read_text(encoding="utf-8")  # JSON is UTF-8
+    except (OSError, UnicodeDecodeError) as e:
         raise ValueError(f"cannot read spec file: {e}")
     spec = load_fan_algebra_spec(text)
     gens = fan_algebra_generators(spec)

@@ -49,7 +49,12 @@ class FanLinearityError(ValueError):
 
 @_value_class()
 class FanLinearFunction:
-    """A validated fan-linear function; construct via check_fan_linear."""
+    """A fan-linear function: one (alpha, beta) pair per cone of ``fan``.
+
+    The constructor checks nothing.  Pieces from outside the library go
+    through ``check_fan_linear``; ``intersection_as_fan_algebra`` and
+    ``principal_cap_algebra`` build theirs directly, fan-linear by
+    construction."""
 
     fan: Fan
     pieces: tuple[tuple[int, int], ...]
@@ -254,7 +259,9 @@ def intersection_as_fan_algebra(
     """The intersection algebra of (x^a) and (x^b) as a fan algebra:
     I_k = (x_k) and f_k(r, s) = max(r*a_k, s*b_k), whose restriction to cone
     i of the fan of (a, b) is r*a_k left of the wall (fan position before i)
-    and s*b_k from the wall on."""
+    and s*b_k from the wall on.  Fan-linear by construction, so unchecked:
+    the two forms agree on the wall, the ray (b_k, a_k) of column k, and each
+    is the larger one on its own side of it."""
     a, b = tuple(a), tuple(b)
     fan = build_fan(a, b)
     n = len(a)
@@ -266,7 +273,7 @@ def intersection_as_fan_algebra(
     for k in range(n):
         j = position.get(k, 0)  # a column left out of the fan has a_k = b_k = 0
         pieces = tuple((a[k], 0) if j < i else (0, b[k]) for i in range(ncones))
-        functions.append(check_fan_linear(fan, pieces))
+        functions.append(FanLinearFunction(fan, pieces))
     xs = maximal_ideal(n).sorted_gens()  # x_1, ..., x_n
     ideals = tuple(MonomialIdeal._from_minimal(n, [x.exponents]) for x in xs)
     return FanAlgebraSpec(tuple(variables), ideals, tuple(functions))
@@ -328,11 +335,12 @@ def principal_cap_maximal_power(n_vars: int, f: Monomial, r: int, s: int) -> Mon
 
 def principal_cap_algebra(n_vars: int, f: Monomial) -> FanAlgebraSpec:
     """The auxiliary fan algebra behind (f)^r cap m^s: the maximal ideal with
-    exponent s - r*deg f above the wall of slope deg f, zero below."""
+    exponent max(s - r*deg f, 0), which is s - r*deg f above the wall of slope
+    deg f and zero below; fan-linear by construction, so unchecked."""
     _check_principal(n_vars, f)
     degree = f.total_degree()
     fan = build_fan((degree,), (1,))
-    function = check_fan_linear(fan, ((-degree, 1), (0, 0)))
+    function = FanLinearFunction(fan, ((-degree, 1), (0, 0)))
     return FanAlgebraSpec(
         default_variables(n_vars), (maximal_ideal(n_vars),), (function,)
     )

@@ -29,56 +29,6 @@ def _check_pair(a: tuple[int, ...], b: tuple[int, ...]) -> None:
             raise ValueError(f"{name} has no positive entry (the ideal would be the unit ideal)")
 
 
-_Classes = list[tuple[tuple[int, int], list[int]]]  # (primitive ray, column indices)
-
-
-def _ray_classes(a: tuple[int, ...], b: tuple[int, ...]) -> _Classes:
-    """The columns of a checked pair grouped by primitive ray (b_i, a_i)/g,
-    steepest ray first, each class's indices in original order; columns where
-    both are zero are dropped.  One gcd per distinct column, and only the
-    distinct rays are sorted: equal ratios are exactly equal rays."""
-    ray_of = {}
-    for x, y in dict.fromkeys(zip(b, a)):
-        if g := gcd(x, y):  # 0 only for a both-zero column
-            ray_of[x, y] = (x // g, y // g)
-    classes: dict[tuple[int, int], list[int]] = {}
-    for i, ray in enumerate(map(ray_of.get, zip(b, a))):
-        if ray:
-            classes.setdefault(ray, []).append(i)
-
-    def cmp(p: tuple[int, int], q: tuple[int, int]) -> int:
-        # slope s/r of p above that of q iff p_s*q_r > q_s*p_r; distinct rays never tie
-        return -1 if p[1] * q[0] > q[1] * p[0] else 1
-
-    return [(ray, classes[ray]) for ray in sorted(classes, key=cmp_to_key(cmp))]
-
-
-def _ordered(
-    a: tuple[int, ...], b: tuple[int, ...], classes: _Classes
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(a_sorted, b_sorted, permutation) of ``fan_order``: the classes of
-    ``_ray_classes`` laid end to end."""
-    order = [i for _, columns in classes for i in columns]
-    return tuple([a[i] for i in order]), tuple([b[i] for i in order]), tuple(order)
-
-
-def fan_order(
-    a: Sequence[int], b: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Reorder the paired exponents by ratio a_i/b_i, descending.
-
-    b_i = 0 sorts as +infinity; ties keep their original order; indices where
-    both exponents are zero are dropped (the prime occurs in neither ideal).
-    Returns (a_sorted, b_sorted, permutation) where permutation[j] is the
-    original index sitting at fan position j.  Columns of equal ratio share
-    one primitive ray (b_i, a_i)/g, so only the distinct rays are sorted and
-    each class of equal ratio is laid down in its original order.
-    """
-    a, b = tuple(a), tuple(b)
-    _check_pair(a, b)
-    return _ordered(a, b, _ray_classes(a, b))
-
-
 @_value_class()
 class Fan:
     """The n+1 cones C_0..C_n over consecutive rays (b_i, a_i) of the fan
@@ -127,7 +77,14 @@ class Fan:
 
 
 def build_fan(a: Sequence[int], b: Sequence[int]) -> Fan:
-    """Build the fan of any valid pair (a, b), fan ordered as by ``fan_order``.
+    """Fan order any valid pair (a, b) and build its fan.
+
+    Fan order sorts the columns by ratio a_i/b_i, descending, with b_i = 0 as
+    +infinity; ties keep their original order, and columns where both
+    exponents are zero are dropped (the prime occurs in neither ideal).
+    Columns of equal ratio share one primitive ray (b_i, a_i)/g, so there is
+    one gcd per distinct column, only the distinct rays are sorted, and each
+    class of equal ratio is laid down in its original order.
 
     The pair is checked once; the rays and cones derived from its columns are
     built unchecked.  Each distinct ray, sentinels included, gets one point;
@@ -136,10 +93,24 @@ def build_fan(a: Sequence[int], b: Sequence[int]) -> Fan:
     in ``Fan.chains``.  The cones still compare by value."""
     a, b = tuple(a), tuple(b)
     _check_pair(a, b)
-    classes = _ray_classes(a, b)
+    ray_of = {}
+    for x, y in dict.fromkeys(zip(b, a)):
+        if g := gcd(x, y):  # 0 only for a both-zero column
+            ray_of[x, y] = (x // g, y // g)
+    classes: dict[tuple[int, int], list[int]] = {}
+    for i, ray in enumerate(map(ray_of.get, zip(b, a))):
+        if ray:
+            classes.setdefault(ray, []).append(i)
+
+    def cmp(p: tuple[int, int], q: tuple[int, int]) -> int:
+        # slope s/r of p above that of q iff p_s*q_r > q_s*p_r; distinct rays never tie
+        return -1 if p[1] * q[0] > q[1] * p[0] else 1
+
+    order: list[int] = []
     runs = {(0, 1): 1}  # ray -> its copies among (0,1), the column rays, (1,0)
-    for ray, columns in classes:
-        runs[ray] = runs.get(ray, 0) + len(columns)
+    for ray in sorted(classes, key=cmp_to_key(cmp)):
+        order += classes[ray]
+        runs[ray] = runs.get(ray, 0) + len(classes[ray])
     runs[1, 0] = runs.get((1, 0), 0) + 1
     cones: list[Cone2] = []
     high = None
@@ -150,7 +121,18 @@ def build_fan(a: Sequence[int], b: Sequence[int]) -> Fan:
         if count > 1:
             cones += [_cone(low, low)] * (count - 1)
         high = low
-    return Fan(*_ordered(a, b, classes), tuple(cones))
+    return Fan(tuple([a[i] for i in order]), tuple([b[i] for i in order]), tuple(order),
+               tuple(cones))
+
+
+def fan_order(
+    a: Sequence[int], b: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(a_sorted, b_sorted, permutation) read off ``build_fan(a, b)``: the
+    paired exponents in fan order, where permutation[j] is the original index
+    sitting at fan position j."""
+    fan = build_fan(a, b)
+    return fan.a, fan.b, fan.order
 
 
 def locate(fan: Fan, p: LatticePoint2) -> int:

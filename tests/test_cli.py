@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conealg import (
     BigradedMonomial,
@@ -25,6 +25,7 @@ from conealg import (
     fan_order,
 )
 from conealg.cli import _build_parser, generators_to_json, main
+from strategies import column_pairs
 
 GOLDEN_LINES = [
     "x^2*y^3*v",
@@ -487,6 +488,15 @@ def test_fan_algebra_missing_file(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_fan_algebra_spec_not_utf8_names_the_stage(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff")
+    code, out, err = run(capsys, "fan-algebra", "--spec", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: cannot read spec file: 'utf-8' codec can't decode byte 0xff"
+                   " in position 0: invalid start byte\n")
+
+
 def test_cap_exceeded_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CONEALG_MAX_CANDIDATES", "10")
     path = tmp_path / "spec.json"
@@ -733,16 +743,24 @@ ARGV_TAILS = {
 
 
 @st.composite
-def spec_payloads(draw):
-    """Fan-algebra files: mostly fan ordered, sometimes with a repeated ray
-    (a degenerate cone); each function is max(r*a_j, s*b_j) (fan-linear),
-    min(r*a_j, s*b_j) (not subadditive) or random small pieces; one file in
-    four has a field of the wrong type, dropped, or an unknown one."""
+def small_pairs(draw):
+    """1..3 columns of ENTRIES, not always a valid pair, sometimes with the
+    last column repeated (a degenerate cone)."""
     n = draw(st.integers(1, 3))
     a = draw(st.lists(ENTRIES, min_size=n, max_size=n))
     b = draw(st.lists(ENTRIES, min_size=n, max_size=n))
     if draw(st.booleans()):
         a, b = a + a[-1:], b + b[-1:]
+    return a, b
+
+
+@st.composite
+def spec_payloads(draw, pairs=small_pairs()):
+    """Fan-algebra files on the columns of ``pairs``, mostly fan ordered;
+    each function is max(r*a_j, s*b_j) (fan-linear), min(r*a_j, s*b_j) (not
+    subadditive) or random small pieces; one file in four has a field of the
+    wrong type, dropped, or an unknown one."""
+    a, b = map(list, draw(pairs))
     if draw(st.integers(0, 4)) < 4 and any(a) and any(b):
         a, b, _ = fan_order(a, b)
     ideals = draw(st.lists(st.lists(MONOMIALS, min_size=1, max_size=2), min_size=1, max_size=2))
@@ -770,13 +788,22 @@ def spec_payloads(draw):
     return payload
 
 
-def contract_exit(argv):
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+def contract_run(argv):
+    """(exit code, stdout) of main(argv); any exception but argparse's exit
+    2 propagates."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as e:  # argparse usage errors
             assert e.code == 2
-            return 2
+            code = 2
+    return code, out.getvalue()
+
+
+def contract_holds(code, out):
+    # a refused call prints nothing on stdout; an answer (0) or a failed verification (4) may
+    return code in (0, 2, 3, 4) and (out == "" or code in (0, 4))
 
 
 @settings(max_examples=300, deadline=None)
@@ -788,4 +815,37 @@ def test_cli_contract_fuzz(tmp_path_factory, argv, payload):
         path = tmp_path_factory.getbasetemp() / "fuzz-spec.json"
         path.write_text(json.dumps(payload))
         argv = [*argv, "--spec", str(path)]
-    assert contract_exit(argv) in (0, 2, 3, 4)
+    assert contract_holds(*contract_run(argv))
+
+
+# --- bounded-time contract fuzz over unbounded input ---
+# limits and fan --format text|json build no Hilbert basis, so their entries
+# and widths go past ENTRIES: up to 30 digits and 300 columns.  Specs go to
+# 100 columns of ENTRIES.  hilbert-basis, generators, verify and fan --format
+# svg stay on ENTRIES above: they reach the parallelogram scan, which is
+# quadratic in a cone's determinant.
+
+UNBOUNDED_PAIRS = st.booleans().flatmap(lambda zeros: column_pairs(10**30 - 1, 300, zeros))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["limits", "fan"]), UNBOUNDED_PAIRS,
+       st.sampled_from([[], ["--format", "text"], ["--format", "json"]]))
+def test_cli_contract_fuzz_unbounded_columns(deadline, command, pair, format_option):
+    a, b = (",".join(map(str, v)) for v in pair)
+    with deadline(5):
+        code, out = contract_run([command, "--a", a, "--b", b, *format_option])
+    assert contract_holds(code, out)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec_payloads(column_pairs(12, 100)),
+       st.sampled_from([[], ["--format", "json"], ["--verify", "3x3"]]))
+def test_cli_contract_fuzz_wide_specs(tmp_path_factory, deadline, payload, options):
+    path = tmp_path_factory.getbasetemp() / "fuzz-wide-spec.json"
+    path.write_text(json.dumps(payload))
+    with deadline(20):
+        code, out = contract_run(["fan-algebra", "--spec", str(path), *options])
+    assert contract_holds(code, out)

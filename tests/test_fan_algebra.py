@@ -41,6 +41,7 @@ from oracles import (
     random_exponent_pair,
     reference_product_of_powers,
 )
+from strategies import column_pairs
 
 P = LatticePoint2
 M = Monomial
@@ -277,6 +278,30 @@ def test_intersection_as_fan_algebra_reorders_input():
     # original index 0 sits at fan position 1, index 1 at position 0
     assert spec.functions[0].pieces == ((0, 3), (0, 3), (2, 0))
     assert spec.functions[1].pieces == ((0, 2), (5, 0), (5, 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_pairs())
+def test_intersection_as_fan_algebra_is_fan_linear_by_construction(pair):
+    # the construction skips check_fan_linear; the check must accept what it builds
+    for f in intersection_as_fan_algebra(*pair).functions:
+        assert check_fan_linear(f.fan, f.pieces) == f
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(any)))
+def test_principal_cap_algebra_is_fan_linear_by_construction(exponents):
+    (f,) = principal_cap_algebra(len(exponents), M(tuple(exponents))).functions
+    assert check_fan_linear(f.fan, f.pieces) == f
+
+
+def test_intersection_as_fan_algebra_on_many_distinct_columns_is_fast(deadline):
+    # ratios (k + 1)/(200 - k) are distinct: 201 cones, each function built unchecked
+    a, b = tuple(range(1, 201)), tuple(range(200, 0, -1))
+    with deadline(0.5):
+        spec = intersection_as_fan_algebra(a, b)
+    assert len(spec.fan.cones) == 201 and len(spec.functions) == 200
 
 
 @pytest.mark.parametrize("a,b,variables", [
