@@ -101,7 +101,7 @@ def _infer_variables(*texts: str) -> tuple[str, ...]:
 def _json_dumps(payload: dict) -> str:
     import json  # imported here: only --format json needs it, and it is slow to import
 
-    return json.dumps(payload, indent=2)
+    return json.dumps({"format_version": 1, **payload}, indent=2)
 
 
 # --- generators JSON format ---
@@ -110,7 +110,6 @@ def _generators_payload(
     variables: Sequence[str], gens: Sequence[BigradedMonomial]
 ) -> dict:
     return {
-        "format_version": 1,
         "variables": list(variables),
         "generators": [
             {
@@ -213,7 +212,6 @@ def _cmd_hilbert_basis(args) -> int:
     elements = hilbert_basis(c).elements
     if args.format == "json":
         payload = {
-            "format_version": 1,
             "cone": {
                 "ray_high": [c.ray_high.r, c.ray_high.s],
                 "ray_low": [c.ray_low.r, c.ray_low.s],
@@ -232,7 +230,6 @@ def _cmd_fan(args) -> int:
         print(render_fan_svg(fan), end="")
     elif args.format == "json":
         payload = {
-            "format_version": 1,
             "a": list(fan.a),
             "b": list(fan.b),
             "cones": [
@@ -256,7 +253,7 @@ def _cmd_verify(args) -> int:
     gs = intersection_generators(args.a, args.b)
     report = verify_generation(args.a, args.b, gs, args.rmax, args.smax)
     if args.format == "json":
-        print(_json_dumps({"format_version": 1, **_verification_json(report)}))
+        print(_json_dumps(_verification_json(report)))
     else:
         print(report.summary())
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -266,7 +263,6 @@ def _cmd_limits(args) -> int:
     limits = asymptotic_limits(args.a, args.b)
     if args.format == "json":
         payload = {
-            "format_version": 1,
             "l_I_of_J": str(limits.l_I_of_J),
             "L_I_of_J": str(limits.L_I_of_J),
             "l_J_of_I": str(limits.l_J_of_I),

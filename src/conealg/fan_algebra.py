@@ -24,6 +24,7 @@ from .monomials import (
     MonomialIdeal,
     _candidate_cap,
     _natural,
+    _product_exponents,
     check_variable_names,
     default_variables,
     ideal_power,
@@ -126,12 +127,24 @@ def check_fan_linear(
                 f"face disagreement at {shared}: {left} != {right}",
             )
 
-    # Subadditive iff f equals the max of its pieces everywhere, iff every
-    # piece is dominated by the owning piece at both rays of every cone.  A
-    # degenerate cone's piece is never used off its ray, where face agreement
-    # already pins it, so it takes no part.  Rays are visited steepest first.
-    used = [i for i, c in enumerate(fan.cones) if not c.is_degenerate]
-    for j, c in enumerate(fan.cones):
+    # Subadditive iff f equals the max of its pieces everywhere, iff f is
+    # convex.  A degenerate cone's piece is never used off its ray, where
+    # face agreement already pins it, so it takes no part.  When each cone's
+    # ray_low is the next one's ray_high (every fan from build_fan), f is
+    # convex iff it is convex at each wall: for consecutive non-degenerate
+    # cones i < k, g_k - g_i is linear and vanishes on their shared ray, so
+    # its sign at ray_high_i decides it on all of cone i.
+    cones = fan.cones
+    used = [i for i, c in enumerate(cones) if not c.is_degenerate]
+    if all(c.ray_low == d.ray_high for c, d in zip(cones, cones[1:])) and all(
+        f.piece_value(k, cones[i].ray_high) <= f.piece_value(i, cones[i].ray_high)
+        for i, k in zip(used, used[1:])
+    ):
+        return f
+    # Otherwise every piece must be dominated by the owning piece at both
+    # rays of every cone; rays are visited steepest first, and the first
+    # failure names the witness.
+    for j, c in enumerate(cones):
         for ray in (c.ray_high, c.ray_low):
             owner = f.piece_value(j, ray)
             for i in used:
@@ -216,7 +229,7 @@ def _product_of_powers(
         return MonomialIdeal._from_minimal(len(shift), [shift])
     if not any(shift):
         return product
-    translated = [tuple(map(add, shift, g)) for g in product.exponents]
+    translated = _product_exponents((shift,), product.exponents)
     return MonomialIdeal._from_minimal(len(shift), translated)
 
 

@@ -288,14 +288,19 @@ def asymptotic_limits(a: Sequence[int], b: Sequence[int]) -> AsymptoticLimits:
     l_I(J) is the limit of (largest n with J^m inside I^n)/m, attained at the
     smallest ratio b_k/a_k; the other three limits are the matching extreme
     ratios, so the reciprocal identities l_I(J)*L_J(I) = l_J(I)*L_I(J) = 1
-    hold by construction.
+    hold by construction.  A column zero in both a and b is dropped, as
+    ``build_fan`` drops it: the prime occurs in neither ideal.
     """
     from fractions import Fraction  # imported here: it is slow to import, and only this needs it
 
     a, b = tuple(a), tuple(b)
-    # an int entry <= 0 means the radicals differ; fan_order checks the lengths
-    # first and rejects every entry that is not an int
-    if len(a) == len(b) and any(x <= 0 for x in a + b if type(x) is int):
+    # an int entry < 0, or an int zero beside an entry that is no int zero,
+    # means the radicals differ; fan_order checks the lengths first and
+    # rejects every entry that is not an int
+    if len(a) == len(b) and any(
+        type(x) is int and (x < 0 or x == 0 and (type(y) is not int or y != 0))
+        for x, y in zip(a + b, b + a)
+    ):
         raise ValueError("radicals differ: all exponents must be positive")
     a, b, _ = fan_order(a, b)  # ratio a_k/b_k descending
     hi, lo = Fraction(a[0], b[0]), Fraction(a[-1], b[-1])

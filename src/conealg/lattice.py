@@ -17,16 +17,17 @@ from typing import Callable, Iterable, Optional
 
 def _value_class(order: bool = False) -> Callable[[type], type]:
     """Class decorator: frozen value semantics over the fields annotated in
-    the class body, for a class whose ``__init__`` fills its ``__dict__``.
-    ``==`` and ``hash`` are those of the tuple of fields, ``NotImplemented``
-    against another class; ``order`` adds ``<``, ``<=``, ``>`` and ``>=`` on
-    that tuple; ``repr`` reads ``Name(field=value, ...)``, ``__match_args__``
-    lists the fields, and assignment or deletion raises AttributeError.  A
-    method the class defines itself is kept, so a hot class can spell out a
-    faster ``__eq__`` and ``__hash__``.  Instances keep their ``__dict__``,
-    which unchecked constructors such as ``_point`` fill directly and
-    ``cached_property`` stores into.  Building a class this way runs no
-    ``exec``, so it adds next to nothing to the import time."""
+    the class body, for a class whose ``__init__`` fills its ``__dict__`` or
+    its slots.  ``==`` and ``hash`` are those of the tuple of fields,
+    ``NotImplemented`` against another class; ``order`` adds ``<``, ``<=``,
+    ``>`` and ``>=`` on that tuple; ``repr`` reads ``Name(field=value, ...)``,
+    ``__match_args__`` lists the fields, and assignment or deletion raises
+    AttributeError.  A method the class defines itself is kept, so a hot
+    class can spell out a faster ``__eq__`` and ``__hash__``.  Instances keep
+    their ``__dict__`` or slots: unchecked constructors such as ``_point``
+    fill them directly, and ``cached_property`` stores into the ``__dict__``.
+    Building a class this way runs no ``exec``, so it adds next to nothing to
+    the import time."""
 
     def decorate(cls: type) -> type:
         names = tuple(cls.__annotations__)

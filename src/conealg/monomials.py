@@ -175,6 +175,7 @@ def _product_exponents(
     return _minimalize({tuple(map(add, g, h)) for g in xs for h in ys})
 
 
+@_value_class()
 class MonomialIdeal:
     """A monomial ideal in its minimal-generator normal form.
 
@@ -209,16 +210,10 @@ class MonomialIdeal:
         object.__setattr__(ideal, "exponents", frozenset(exponents))
         return ideal
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: MonomialIdeal is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: MonomialIdeal is immutable")
-
-    def __reduce__(self):
+    def __reduce__(self):  # unpickled slot state would go through the frozen __setattr__
         return MonomialIdeal._from_minimal, (self.nvars, self.exponents)
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # spelled out: ideals key the spec's power cache
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.nvars == other.nvars and self.exponents == other.exponents

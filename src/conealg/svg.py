@@ -32,10 +32,9 @@ def render_fan_svg(fan: Fan) -> str:
         f' viewBox="0 0 {size} {size}" data-format-version="1">',
         f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
     ]
-    for i, c in enumerate(fan.cones):
-        if c.is_degenerate:
-            continue
-        low, high = ray_end(c.ray_low), ray_end(c.ray_high)
+    wedges = [(i, ray_end(c.ray_low), ray_end(c.ray_high))
+              for i, c in enumerate(fan.cones) if not c.is_degenerate]
+    for i, low, high in wedges:
         fill = _WEDGE_FILLS[i % 2]
         lines.append(
             f'<polygon points="{x(0)},{y(0)} {x(low.r)},{y(low.s)}'
@@ -60,10 +59,7 @@ def render_fan_svg(fan: Fan) -> str:
                 f'<line x1="{x(0)}" y1="{y(0)}" x2="{x(end.r)}" y2="{y(end.s)}"'
                 f' stroke="{_RAY_STROKE}" stroke-width="2"/>'
             )
-    for i, c in enumerate(fan.cones):
-        if c.is_degenerate:
-            continue
-        low, high = ray_end(c.ray_low), ray_end(c.ray_high)
+    for i, low, high in wedges:
         mx, my = (x(low.r) + x(high.r)) // 2, (y(low.s) + y(high.s)) // 2
         lines.append(
             f'<text x="{mx}" y="{my}" font-family="monospace" font-size="14"'

@@ -15,6 +15,9 @@ recombination.  Its fan-algebra components multiply every power in turn
 (``reference_product_of_powers``), where the library folds the principal
 ones into one translate; ``iterated_power`` forms A^m by m products with A,
 where the library takes a principal power in closed form.
+``check_fan_linear`` accepts by one comparison per wall; the ray scan it
+keeps for rejections (``reference_subadditivity_scan``) is the reference for
+that decision.
 """
 
 import itertools
@@ -24,6 +27,7 @@ from functools import reduce
 
 from conealg import (
     Cone2,
+    FanLinearityError,
     LatticePoint2,
     Monomial,
     MonomialIdeal,
@@ -31,6 +35,7 @@ from conealg import (
     VerificationReport,
     ideal_product,
 )
+from conealg.fan_algebra import _subadditivity_witness
 from conealg.fans import locate
 from conealg.lattice import det
 from conealg.monomials import _natural
@@ -72,6 +77,24 @@ def brute_subadditivity_witness(f, max_total: int):
                     if f(p) + f(q) < f(p + q):
                         return p, q
     return None
+
+
+def reference_subadditivity_scan(f) -> None:
+    """The O(C^2) ray scan that ``check_fan_linear`` keeps for rejections:
+    raise FanLinearityError, with the library's witness and message, at the
+    first ray (steepest first) where some non-degenerate cone's piece
+    exceeds the owning piece.  The reference for its O(C) wall check."""
+    cones = f.fan.cones
+    used = [i for i, c in enumerate(cones) if not c.is_degenerate]
+    for j, c in enumerate(cones):
+        for ray in (c.ray_high, c.ray_low):
+            owner = f.piece_value(j, ray)
+            for i in used:
+                if f.piece_value(i, ray) > owner:
+                    p, q, fp, fq, fpq = _subadditivity_witness(f, i, ray)
+                    raise FanLinearityError(
+                        "subadditivity", (p, q), f"f{p}+f{q} = {fp}+{fq} < f{p + q} = {fpq}"
+                    )
 
 
 def brute_irreducibles(c: Cone2) -> set[LatticePoint2]:

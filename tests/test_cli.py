@@ -302,6 +302,12 @@ def test_limits_json(capsys):
     }
 
 
+def test_limits_drops_a_column_zero_in_both(capsys):
+    code, out, _ = run(capsys, "limits", "--a", "1,0", "--b", "2,0")
+    assert code == 0
+    assert out == "l_I(J)=2 L_I(J)=2 l_J(I)=1/2 L_J(I)=1/2\n"
+
+
 def test_limits_rejects_unequal_radicals(capsys):
     code, _, err = run(capsys, "limits", "--a", "1,0", "--b", "1,2")
     assert code == 2 and "radicals differ" in err

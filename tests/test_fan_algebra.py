@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from conealg import (
     BigradedMonomial,
     FanAlgebraSpec,
+    FanLinearFunction,
     FanLinearityError,
     LatticePoint2,
     Monomial,
@@ -17,6 +19,7 @@ from conealg import (
     SpecFormatError,
     build_fan,
     check_fan_linear,
+    cone,
     fan_algebra_generators,
     hilbert_basis,
     ideal_power,
@@ -31,6 +34,8 @@ from conealg import (
     verify_fan_algebra,
 )
 from conealg.fan_algebra import _product_of_powers, graded_component
+from conealg.fans import Fan
+from conealg.lattice import det
 from conealg.monomials import default_variables
 from oracles import (
     brute_intersection,
@@ -40,6 +45,7 @@ from oracles import (
     iterated_power,
     random_exponent_pair,
     reference_product_of_powers,
+    reference_subadditivity_scan,
 )
 from strategies import column_pairs
 
@@ -206,6 +212,82 @@ def test_thin_cone_rejection_witness_is_built_not_searched(deadline):
         check_fan_linear(fan, [(0, 0), (999, -1000), (1, -1)])
     assert info.value.condition == "subadditivity"
     assert info.value.witness == (P(1, 0), P(1000, 999))
+
+
+@st.composite
+def ray_valued_functions(draw):
+    """(fan, pieces) on the fan of a random pair, degenerate cones included,
+    with each piece solved from one value per ray: random values, or those of
+    the max of random forms (convex, so fan-linear).  The values are scaled
+    by the product of the cone determinants, so that every piece is
+    integral; a degenerate cone's piece is a random integer solution on its
+    ray.  Nonnegative and face-agreeing by construction."""
+    fan = build_fan(*draw(column_pairs(max_columns=5)))
+    rays = dict.fromkeys(w for c in fan.cones for w in (c.ray_high, c.ray_low))
+    if draw(st.booleans()):
+        values = {w: draw(st.integers(0, 9)) for w in rays}
+    else:
+        forms = draw(st.lists(FORMS, min_size=1, max_size=3))
+        values = {w: max(alpha * w.r + beta * w.s for alpha, beta in forms) for w in rays}
+    scale = math.prod(det(c.ray_low, c.ray_high) for c in fan.cones if not c.is_degenerate)
+    pieces = []
+    for c in fan.cones:
+        low, high = c.ray_low, c.ray_high
+        v_low, v_high = scale * values[low], scale * values[high]
+        d = det(low, high)
+        if d:  # alpha*r + beta*s = v at both rays, by Cramer
+            pieces.append(((v_low * high.s - v_high * low.s) // d,
+                           (v_high * low.r - v_low * high.r) // d))
+        else:  # x*r + y*s = 1 on the primitive ray, plus t times (s, -r)
+            x = pow(low.r, -1, low.s) if low.s else 1
+            y = (1 - x * low.r) // low.s if low.s else 0
+            t = draw(st.integers(-3, 3))
+            pieces.append((v_low * x + t * low.s, v_low * y - t * low.r))
+    return fan, pieces
+
+
+@settings(max_examples=500, deadline=None)
+@given(ray_valued_functions())
+def test_wall_check_decides_as_the_ray_scan(candidate):
+    # check_fan_linear accepts by one comparison per wall; the ray scan it
+    # keeps for rejections is the reference for acceptance, condition,
+    # message and witness
+    fan, pieces = candidate
+    f = FanLinearFunction(fan, tuple(pieces))
+    try:
+        reference_subadditivity_scan(f)
+        expected = None
+    except FanLinearityError as e:
+        expected = (e.condition, str(e), e.witness)
+    try:
+        assert check_fan_linear(fan, pieces) == f and expected is None
+    except FanLinearityError as e:
+        assert (e.condition, str(e), e.witness) == expected
+
+
+def test_fan_whose_cones_do_not_chain_keeps_the_ray_scan():
+    # cone 1 spans the quadrant, so cone 0's ray_low (1,2) is not cone 1's
+    # ray_high (0,1).  One comparison at that wall would accept (piece 1 is
+    # 0 <= 1 at (0,1)); the scan finds piece 0 above the owner at (0,1)
+    fan = Fan((1,), (1,), (0,), (cone(P(0, 1), P(1, 2)), cone(P(0, 1), P(1, 0))))
+    pieces = ((0, 1), (2, 0))
+    with pytest.raises(FanLinearityError) as expected:
+        reference_subadditivity_scan(FanLinearFunction(fan, pieces))
+    with pytest.raises(FanLinearityError) as info:
+        check_fan_linear(fan, pieces)
+    assert info.value.condition == "subadditivity"
+    assert (str(info.value), info.value.witness) == (str(expected.value), expected.value.witness)
+
+
+def test_many_cones_are_accepted_in_linear_time(deadline):
+    # 3000 det-1 cones between the rays (1, k): the ray scan compares every
+    # piece at every ray, 18 million piece values
+    a = tuple(range(2999, 0, -1))
+    payload = {"variables": ["x"], "a": list(a), "b": [1] * len(a), "ideals": [["x"]],
+               "pieces": [[[0, 0]] * (len(a) + 1)]}
+    with deadline(0.5):
+        spec = load_fan_algebra_spec(json.dumps(payload))
+    assert len(spec.fan.cones) == 3000
 
 
 def test_degenerate_cone_piece_is_ignored_off_its_ray(deadline):

@@ -263,6 +263,15 @@ def test_asymptotic_limits_checks_entries_like_the_library(a, b, message):
     assert str(info.value) == message
 
 
+def test_asymptotic_limits_drop_a_column_zero_in_both():
+    # the prime of that column occurs in neither ideal, as build_fan reads it
+    assert asymptotic_limits((1, 0), (2, 0)) == (2, 2, Fraction(1, 2), Fraction(1, 2))
+    assert asymptotic_limits((0, 5, 0, 2), (0, 2, 0, 3)) == asymptotic_limits((5, 2), (2, 3))
+    with pytest.raises(ValueError) as info:
+        asymptotic_limits((0, 0), (0, 0))
+    assert str(info.value) == "a has no positive entry (the ideal would be the unit ideal)"
+
+
 def test_asymptotic_limit_matches_divisibility_oracle():
     a, b = (5, 2), (2, 3)
     limits = asymptotic_limits(a, b)

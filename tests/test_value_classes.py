@@ -21,6 +21,7 @@ from conealg import (
     GeneratorSet,
     LatticePoint2,
     Monomial,
+    MonomialIdeal,
     VerificationReport,
     build_fan,
     cone,
@@ -167,3 +168,26 @@ def test_value_classes_keep_their_dict():
     fan = build_fan((5, 2), (2, 3))
     assert fan.chains is fan.chains and "chains" in vars(fan)  # cached_property stores there
     assert Monomial([1, 2]).exponents == (1, 2)  # a list is converted to the tuple field
+
+
+@pytest.mark.parametrize("gens", [[], [(0, 0)], [(1, 0), (0, 1)], [(2, 1), (1, 3), (3, 1)]])
+def test_monomial_ideal_is_a_slotted_value_class(gens):
+    # MonomialIdeal takes generators, not its fields, and keeps its own repr,
+    # so it is no part of the dataclass comparison above
+    ideal = MonomialIdeal(2, gens)
+    for name in ("nvars", "exponents", "gens", "other"):
+        assert outcome(lambda: setattr(ideal, name, 1)) == (
+            AttributeError, f"cannot assign to field {name!r}")
+        assert outcome(lambda: delattr(ideal, name)) == (
+            AttributeError, f"cannot delete field {name!r}")
+    assert MonomialIdeal.__match_args__ == ("nvars", "exponents")
+    match ideal:
+        case MonomialIdeal(2, exponents):
+            assert exponents == ideal.exponents
+        case _:
+            pytest.fail("no match on (nvars, exponents)")
+    for clone in (copy.copy(ideal), copy.deepcopy(ideal), pickle.loads(pickle.dumps(ideal))):
+        assert type(clone) is MonomialIdeal and clone == ideal and hash(clone) == hash(ideal)
+        assert repr(clone) == repr(ideal)
+    assert not hasattr(ideal, "__dict__")
+    assert repr(ideal) == f"MonomialIdeal(2, {sorted(ideal.gens)})"
