@@ -16,12 +16,20 @@ from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .fans import Fan, build_fan, locate
-from .generators import VerificationReport, _check_grid, _verify_grid
+from .generators import (
+    VerificationReport,
+    _check_grid,
+    _fan_rays,
+    _grid_cells,
+    _unimodular_chain,
+    _verify_grid,
+)
 from .lattice import LatticePoint2, _point, _value_class, det
 from .monomials import (
     BigradedMonomial,
     Monomial,
     MonomialIdeal,
+    PowerCapError,
     _candidate_cap,
     _natural,
     _product_exponents,
@@ -93,7 +101,12 @@ def check_fan_linear(
 
     Negative coefficients are accepted as long as the piece is nonnegative on
     its own cone (only values on the cone matter).
+
+    The cones must run contiguously from the ray (0,1) to (1,0), as every
+    fan from ``build_fan`` does; otherwise ValueError names the first joint
+    where they do not, before any piece is read.
     """
+    _fan_rays(fan.cones)
     normalized = []
     for i, pair in enumerate(pieces):
         if len(pair) != 2:
@@ -129,14 +142,14 @@ def check_fan_linear(
 
     # Subadditive iff f equals the max of its pieces everywhere, iff f is
     # convex.  A degenerate cone's piece is never used off its ray, where
-    # face agreement already pins it, so it takes no part.  When each cone's
-    # ray_low is the next one's ray_high (every fan from build_fan), f is
-    # convex iff it is convex at each wall: for consecutive non-degenerate
-    # cones i < k, g_k - g_i is linear and vanishes on their shared ray, so
-    # its sign at ray_high_i decides it on all of cone i.
+    # face agreement already pins it, so it takes no part.  Since each cone's
+    # ray_low is the next one's ray_high, f is convex iff it is convex at
+    # each wall: for consecutive non-degenerate cones i < k, g_k - g_i is
+    # linear and vanishes on their shared ray, so its sign at ray_high_i
+    # decides it on all of cone i.
     cones = fan.cones
     used = [i for i, c in enumerate(cones) if not c.is_degenerate]
-    if all(c.ray_low == d.ray_high for c, d in zip(cones, cones[1:])) and all(
+    if all(
         f.piece_value(k, cones[i].ray_high) <= f.piece_value(i, cones[i].ray_high)
         for i, k in zip(used, used[1:])
     ):
@@ -292,6 +305,49 @@ def intersection_as_fan_algebra(
     return FanAlgebraSpec(tuple(variables), ideals, tuple(functions))
 
 
+def _principal_certified(
+    spec: FanAlgebraSpec,
+    ideals: dict[LatticePoint2, MonomialIdeal],
+    r_max: int,
+    s_max: int,
+    cap: int,
+) -> bool:
+    """Whether the grid walk of ``verify_fan_algebra`` over ``ideals``, the
+    supplied components by degree, would pass every cell of the grid
+    [0..r_max] x [0..s_max] (of at most ``cap`` cells) without raising:
+
+    1. every ideal of the spec has one generator;
+    2. the chains pass ``_unimodular_chain``;
+    3. every piece is >= 0 at both rays of its own cone, so on all of it;
+    4. every piece (alpha, beta) has max(alpha, 0)*r_max + max(beta, 0)*s_max
+       <= cap, so no cell's component takes a power past the cap (this needs
+       no convexity);
+    5. at every element e of every chain i the supplied ideal at e is
+       ``_component_on_cone(spec, i, e, cap)``: checked per chain, so a
+       degree shared by two cones is checked against both pieces.  A power
+       past the cap at a chain degree off the grid fails the check.
+
+    The argument is in ``verify_fan_algebra``'s docstring."""
+    if any(len(ideal.exponents) != 1 for ideal in spec.ideals):
+        return False
+    if _unimodular_chain(spec.fan) is None:
+        return False
+    cones = spec.fan.cones
+    for f in spec.functions:
+        if len(f.pieces) != len(cones):
+            return False
+        for i, (alpha, beta) in enumerate(f.pieces):
+            if f.piece_value(i, cones[i].ray_high) < 0 or f.piece_value(i, cones[i].ray_low) < 0:
+                return False
+            if max(alpha, 0) * r_max + max(beta, 0) * s_max > cap:
+                return False
+    try:
+        return all(ideals.get(e) == _component_on_cone(spec, i, e, cap)
+                   for i, chain in enumerate(spec.fan.chains) for e in chain)
+    except PowerCapError:
+        return False
+
+
 def verify_fan_algebra(
     spec: FanAlgebraSpec, gens: Iterable[BigradedMonomial], r_max: int, s_max: int
 ) -> VerificationReport:
@@ -299,20 +355,40 @@ def verify_fan_algebra(
     product of generator components along the bracketing unimodular pair of
     Hilbert basis elements of (r, s).
 
-    The grid is walked row by row, each pair's determinant 1 checked once
-    (see ``generators._verify_grid``).  The component at a Hilbert degree is
-    rebuilt from the supplied generators, so missing or tampered generators
-    surface as reported failures.  Both sides of the comparison take their
-    ideal powers from the spec, which keeps those of an earlier
+    The grid bounds are checked, and a grid of more cells than the candidate
+    cap raises PowerCapError, first.  Then a spec of principal ideals is
+    tried against the all-degree certificate ``_principal_certified``, in
+    time independent of the grid; when it holds the report is a pass,
+    because the walk below would pass every cell without raising.  The
+    certificate's chain check places each cell p in the cone i the walk
+    takes, as p = alpha*l + beta*h along a det-1 pair (h, l) of chain i with
+    alpha, beta >= 0.  The walk's product side takes principal powers only,
+    which raise only when alpha or beta passes the cap, and
+    alpha + beta <= r + s < cells <= cap; translates never raise.  Its
+    component side takes powers piece_ik(p), in [0, cap] by the piece
+    checks.  Cone i's pieces are linear, so with A_e the supplied ideal at
+    e, equal to cone i's component there, A_l^alpha * A_h^beta is
+    x^(sum_k piece_ik(p)*g_k), the component at p, where x^g_k generates
+    I_k.
+
+    Otherwise the grid is walked row by row, each pair's determinant 1
+    checked once (see ``generators._verify_grid``), and its report, or its
+    error, is the verdict.  The component at a Hilbert degree is rebuilt
+    from the supplied generators, so missing or tampered generators surface
+    as reported failures.  Both sides of the comparison take their ideal
+    powers from the spec, which keeps those of an earlier
     fan_algebra_generators call.
     """
     _check_grid(r_max, s_max)
     cap = _candidate_cap()
+    total = _grid_cells(r_max, s_max, cap)
     by_degree: dict[LatticePoint2, set[Monomial]] = {}
     for g in gens:
         by_degree.setdefault(g.degree, set()).add(g.coeff)
     nvars = len(spec.variables)
     ideals = {d: MonomialIdeal(nvars, coeffs) for d, coeffs in by_degree.items()}
+    if _principal_certified(spec, ideals, r_max, s_max, cap):
+        return VerificationReport(True, total, 0, None, None)
     reasons = (
         "no decomposition into available generator degrees",
         "generator component product differs from the graded component",

@@ -13,7 +13,7 @@ from math import gcd
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .fans import Fan, _check_pair, build_fan, fan_order
-from .lattice import LatticePoint2, _point, _value_class
+from .lattice import Cone2, LatticePoint2, _point, _value_class
 from .monomials import (
     BigradedMonomial,
     PowerCapError,
@@ -169,6 +169,61 @@ def _verify_grid(
     return VerificationReport(failures == 0, total, failures, first, reason)
 
 
+def _fan_rays(cones: Sequence[Cone2]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Check 1 of the certificates: the (r, s) coordinates of the cones'
+    ray_high and ray_low, in cone order, if the cones run contiguously from
+    the ray (0,1) to (1,0), each cone's ray_low the next one's ray_high.
+    Otherwise ValueError names the first joint where they do not; a fan
+    with no cones fails at its first."""
+    highs = [(c.ray_high.r, c.ray_high.s) for c in cones]
+    lows = [(c.ray_low.r, c.ray_low.s) for c in cones]
+    if highs == [(0, 1), *lows[:-1]] and lows[-1:] == [(1, 0)]:
+        return highs, lows
+    j = next(j for j, (low, high) in enumerate(zip([(0, 1), *lows], [*highs, (1, 0)]))
+             if low != high)
+    if j == len(cones):
+        fault = f"cone {j - 1} ends at {cones[j - 1].ray_low}, not (1,0)" if j else "no cones"
+    elif j:
+        fault = f"cone {j - 1} ends at {cones[j - 1].ray_low}, cone {j} starts at {cones[j].ray_high}"
+    else:
+        fault = f"cone 0 starts at {cones[0].ray_high}, not (0,1)"
+    raise ValueError(f"fan cones do not run contiguously from (0,1) to (1,0): {fault}")
+
+
+def _unimodular_chain(fan: Fan) -> Optional[tuple[list[LatticePoint2], list[tuple[int, int]]]]:
+    """Checks 1 and 2 of the certificates, read off ``fan`` without trusting it:
+
+    1. the cones run contiguously from the ray (0,1) to (1,0) (``_fan_rays``);
+    2. each chain runs from its cone's ray_high to its ray_low in N^2, with
+       det(l, h) = 1 for every step (h, l).
+
+    If both hold, the chains joined end to end, each joint once, and the
+    (r, s) coordinates of those elements; else None.  The joined chain then
+    splits the quadrant into subcones of determinant 1 in descending slope,
+    each inside one cone: a cell p of the subcone (h, l) is
+    det(p, h)*l + det(l, p)*h with both multiplicities >= 0, the pair the
+    grid walk takes for p, and a degenerate cone's one-element chain adds
+    no step."""
+    cones, chains = fan.cones, fan.chains
+    if len(cones) != len(chains) or not all(chains):
+        return None
+    try:
+        highs, lows = _fan_rays(cones)
+    except ValueError:
+        return None
+    if [(ch[0].r, ch[0].s) for ch in chains] != highs:
+        return None
+    if [(ch[-1].r, ch[-1].s) for ch in chains] != lows:
+        return None
+    elements = [chains[0][0], *(e for chain in chains for e in chain[1:])]  # each joint once
+    points = [(e.r, e.s) for e in elements]
+    if min(map(min, points)) < 0:
+        return None
+    if any(lr * hs - ls * hr != 1 for (hr, hs), (lr, ls) in zip(points, points[1:])):
+        return None
+    return elements, points
+
+
 def _certified(
     columns: tuple[tuple[int, int], ...],
     spread: Callable[[list[int]], tuple[int, ...]],
@@ -180,9 +235,7 @@ def _certified(
     given as their ``_exponent_kernel`` (distinct columns and spread), read
     off ``fan`` without trusting it:
 
-    1. the cones run contiguously from the ray (0,1) to (1,0);
-    2. each chain runs from its cone's ray_high to its ray_low in N^2, with
-       det(l, h) = 1 for every step (h, l);
+    1. and 2. the chains pass ``_unimodular_chain``;
     3. the ray primitive(b_k, a_k) of every column with a_k + b_k > 0 is a
        chain element;
     4. the generator at each distinct chain degree (r, s) has the exponents
@@ -198,23 +251,10 @@ def _certified(
     once per distinct column and spread to all n columns before one
     exponent-tuple comparison; nothing is sorted.
     """
-    cones, chains = fan.cones, fan.chains
-    if len(cones) != len(chains) or not all(chains):
+    chain = _unimodular_chain(fan)
+    if chain is None:
         return False
-    highs = [(c.ray_high.r, c.ray_high.s) for c in cones]
-    lows = [(c.ray_low.r, c.ray_low.s) for c in cones]
-    if highs != [(0, 1), *lows[:-1]] or lows[-1] != (1, 0):
-        return False
-    if [(ch[0].r, ch[0].s) for ch in chains] != highs:
-        return False
-    if [(ch[-1].r, ch[-1].s) for ch in chains] != lows:
-        return False
-    elements = [chains[0][0], *(e for chain in chains for e in chain[1:])]  # each joint once
-    points = [(e.r, e.s) for e in elements]
-    if min(map(min, points)) < 0:
-        return False
-    if any(lr * hs - ls * hr != 1 for (hr, hs), (lr, ls) in zip(points, points[1:])):
-        return False
+    elements, points = chain
     rays = {(y // g, x // g) for x, y in columns if (g := gcd(x, y))}  # a_k + b_k > 0
     if not rays.issubset(points):
         return False

@@ -607,6 +607,22 @@ def test_pool_timing_closed_stdout_exits_1_without_a_traceback():
     assert err == b""
 
 
+def test_pool_timing_groups_by_an_op_parameter():
+    root = Path(__file__).resolve().parents[1]
+    child = subprocess.run(
+        [sys.executable, str(root / "tools" / "pool_timing.py"), "--workload", "fan-algebra",
+         "--passes", "1", "--group", "spec"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0 and child.stderr == ""
+    head, *lines = child.stdout.splitlines()
+    total = int(re.match(r"fan-algebra seed 1: (\d+) ops, min of 1 passes: mean ", head)[1])
+    groups = [re.fullmatch(r"  spec (\S+): (\d+) ops, mean \d+\.\d{3} ms", line) for line in lines]
+    assert all(groups) and sum(int(g[2]) for g in groups) == total
+    kinds = [g[1] for g in groups]
+    assert kinds == sorted(kinds) and "intersection" in kinds
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

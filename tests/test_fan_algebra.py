@@ -265,18 +265,32 @@ def test_wall_check_decides_as_the_ray_scan(candidate):
         assert (e.condition, str(e), e.witness) == expected
 
 
-def test_fan_whose_cones_do_not_chain_keeps_the_ray_scan():
-    # cone 1 spans the quadrant, so cone 0's ray_low (1,2) is not cone 1's
-    # ray_high (0,1).  One comparison at that wall would accept (piece 1 is
-    # 0 <= 1 at (0,1)); the scan finds piece 0 above the owner at (0,1)
-    fan = Fan((1,), (1,), (0,), (cone(P(0, 1), P(1, 2)), cone(P(0, 1), P(1, 0))))
-    pieces = ((0, 1), (2, 0))
-    with pytest.raises(FanLinearityError) as expected:
-        reference_subadditivity_scan(FanLinearFunction(fan, pieces))
-    with pytest.raises(FanLinearityError) as info:
+@pytest.mark.parametrize(
+    "cones,pieces,fault",
+    [
+        # cone 1 spans the quadrant, so cone 0's ray_low (1,2) is not cone 1's
+        # ray_high (0,1); the ray scan reported f(0,0)+f(0,1) = 0+1 < f(0,1) = 1,
+        # which is no violation
+        ((cone(P(0, 1), P(1, 2)), cone(P(0, 1), P(1, 0))), ((0, 1), (2, 0)),
+         "cone 0 ends at (1,2), cone 1 starts at (0,1)"),
+        # cone 1 overlaps cone 0: the witness construction left N^2
+        ((cone(P(1, 1), P(0, 1)), cone(P(1, 0), P(1, 2))), ((0, 2), (1, 1)),
+         "cone 0 ends at (1,1), cone 1 starts at (1,2)"),
+        ((cone(P(1, 2), P(1, 0)),), ((0, 0),), "cone 0 starts at (1,2), not (0,1)"),
+        ((cone(P(0, 1), P(1, 1)),), ((0, 0),), "cone 0 ends at (1,1), not (1,0)"),
+        ((), (), "no cones"),
+        # the first bad joint is named before any piece is read
+        ((cone(P(0, 1), P(1, 2)), cone(P(0, 1), P(1, 0))), ("not a piece",),
+         "cone 0 ends at (1,2), cone 1 starts at (0,1)"),
+    ],
+    ids=["not-chaining", "overlapping", "bad-start", "bad-end", "no-cones", "before-pieces"],
+)
+def test_fan_whose_cones_do_not_chain_is_rejected(cones, pieces, fault):
+    fan = Fan((1,), (1,), (0,), cones)
+    with pytest.raises(ValueError) as info:
         check_fan_linear(fan, pieces)
-    assert info.value.condition == "subadditivity"
-    assert (str(info.value), info.value.witness) == (str(expected.value), expected.value.witness)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"fan cones do not run contiguously from (0,1) to (1,0): {fault}"
 
 
 def test_many_cones_are_accepted_in_linear_time(deadline):

@@ -490,7 +490,7 @@ def _verify_intersection_without_cones(r_max, s_max):
 
 
 def _verify_spec_without_cones(r_max, s_max):
-    function = check_fan_linear(EMPTY_FAN, [])
+    function = FanLinearFunction(EMPTY_FAN, ())  # check_fan_linear rejects a fan without cones
     spec = FanAlgebraSpec(("x", "y"), (maximal_ideal(2),), (function,))
     return verify_fan_algebra(spec, fan_algebra_generators(spec), r_max, s_max)
 

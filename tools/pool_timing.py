@@ -11,7 +11,11 @@ Taking the minimum over passes drops most of the noise of a shared machine,
 so two checkouts timed in alternation can be compared where the whole-run
 figures of ``bench/run.py`` spread too widely.  It prints the mean, p50 and
 p90 of those minima (p50/p90 as ``bench/run.py`` reads its deciles) and their
-mean per bucket of 50 variables.
+mean per bucket of 50 variables, or with ``--group KEY`` per value of that
+op parameter (``spec``, ``subcommand``, ``grid``, ...; ``-`` where an op has
+none):
+
+    python3 tools/pool_timing.py --workload fan-algebra --group spec
 
 ``--root`` names the checkout whose ``src`` and ``bench`` are imported
 (default: the one holding this script), as in ``tools/cli_digest.py``.
@@ -38,6 +42,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--passes", type=int, default=12)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--group", metavar="KEY",
+                        help="mean per value of this op parameter, not per 50 variables")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be positive")
@@ -59,15 +65,20 @@ def main(argv=None):
                     sink.truncate()
     ms = [t * 1e3 for t in best]
     deciles = statistics.quantiles(ms, n=10, method="inclusive")
-    buckets = {}
+    groups = {}  # (sort key, label) -> the minima of its ops
     for op, t in zip(ops, ms):
-        buckets.setdefault(op.params["n"] // 50, []).append(t)
+        if args.group is None:
+            k = op.params["n"] // 50
+            label = (k, f"n {50 * k}-{50 * k + 49}")
+        else:
+            value = str(op.params.get(args.group, "-"))
+            label = (value, f"{args.group} {value}")
+        groups.setdefault(label, []).append(t)
     try:
         print(f"{args.workload} seed {args.seed}: {len(ops)} ops, min of {args.passes} passes: "
               f"mean {statistics.fmean(ms):.3f} p50 {deciles[4]:.3f} p90 {deciles[8]:.3f} ms")
-        for k in sorted(buckets):
-            print(f"  n {50 * k}-{50 * k + 49}: {len(buckets[k])} ops, "
-                  f"mean {statistics.fmean(buckets[k]):.3f} ms")
+        for (_, label), times in sorted(groups.items()):
+            print(f"  {label}: {len(times)} ops, mean {statistics.fmean(times):.3f} ms")
         sys.stdout.flush()  # a closed stdout raises here, not at exit
     except BrokenPipeError:
         # the reader has gone: send what is still buffered to devnull, so
