@@ -99,6 +99,7 @@ def _infer_variables(*texts: str) -> tuple[str, ...]:
 
 
 def _json_dumps(payload: dict) -> str:
+    """The payload after ``format_version``; a point, a tuple, encodes as [r, s]."""
     import json  # imported here: only --format json needs it, and it is slow to import
 
     return json.dumps({"format_version": 1, **payload}, indent=2)
@@ -158,11 +159,7 @@ def _verification_json(report: VerificationReport) -> dict:
         "passed": report.passed,
         "total": report.total,
         "failures": report.failures,
-        "first_failure": (
-            [report.first_failure.r, report.first_failure.s]
-            if report.first_failure
-            else None
-        ),
+        "first_failure": report.first_failure,
         "reason": report.reason,
     }
 
@@ -212,11 +209,8 @@ def _cmd_hilbert_basis(args) -> int:
     elements = hilbert_basis(c).elements
     if args.format == "json":
         payload = {
-            "cone": {
-                "ray_high": [c.ray_high.r, c.ray_high.s],
-                "ray_low": [c.ray_low.r, c.ray_low.s],
-            },
-            "elements": [[p.r, p.s] for p in elements],
+            "cone": {"ray_high": c.ray_high, "ray_low": c.ray_low},
+            "elements": elements,
         }
         print(_json_dumps(payload))
     else:
@@ -233,11 +227,7 @@ def _cmd_fan(args) -> int:
             "a": list(fan.a),
             "b": list(fan.b),
             "cones": [
-                {
-                    "ray_high": [c.ray_high.r, c.ray_high.s],
-                    "ray_low": [c.ray_low.r, c.ray_low.s],
-                    "degenerate": c.is_degenerate,
-                }
+                {"ray_high": c.ray_high, "ray_low": c.ray_low, "degenerate": c.is_degenerate}
                 for c in fan.cones
             ],
         }

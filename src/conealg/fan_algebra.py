@@ -60,8 +60,9 @@ class FanLinearityError(ValueError):
 class FanLinearFunction:
     """A fan-linear function: one (alpha, beta) pair per cone of ``fan``.
 
-    The constructor checks nothing.  Pieces from outside the library go
-    through ``check_fan_linear``; ``intersection_as_fan_algebra`` and
+    The constructor checks only its piece count: ValueError unless there is
+    one pair per cone.  Pieces from outside the library go through
+    ``check_fan_linear``; ``intersection_as_fan_algebra`` and
     ``principal_cap_algebra`` build theirs directly, fan-linear by
     construction."""
 
@@ -69,6 +70,10 @@ class FanLinearFunction:
     pieces: tuple[tuple[int, int], ...]
 
     def __init__(self, fan, pieces):
+        if len(pieces) != len(fan.cones):
+            raise ValueError(
+                f"one coefficient pair per cone: got {len(pieces)} for {len(fan.cones)} cones"
+            )
         self.__dict__.update(fan=fan, pieces=pieces)
 
     def piece_value(self, i: int, p: LatticePoint2) -> int:
@@ -116,10 +121,6 @@ def check_fan_linear(
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"piece coefficients must be integers, got {x!r}")
         normalized.append((alpha, beta))
-    if len(normalized) != len(fan.cones):
-        raise ValueError(
-            f"one coefficient pair per cone: got {len(normalized)} for {len(fan.cones)} cones"
-        )
     f = FanLinearFunction(fan, tuple(normalized))
 
     for i, c in enumerate(fan.cones):
@@ -334,8 +335,6 @@ def _principal_certified(
         return False
     cones = spec.fan.cones
     for f in spec.functions:
-        if len(f.pieces) != len(cones):
-            return False
         for i, (alpha, beta) in enumerate(f.pieces):
             if f.piece_value(i, cones[i].ray_high) < 0 or f.piece_value(i, cones[i].ray_low) < 0:
                 return False

@@ -13,7 +13,7 @@ from math import gcd
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .fans import Fan, _check_pair, build_fan, fan_order
-from .lattice import Cone2, LatticePoint2, _point, _value_class
+from .lattice import Cone2, LatticePoint2, _point, _value_class, det
 from .monomials import (
     BigradedMonomial,
     PowerCapError,
@@ -51,7 +51,7 @@ def intersection_generators(a: Sequence[int], b: Sequence[int]) -> GeneratorSet:
     fan = build_fan(a, b)  # checks the pair
     columns, spread = _exponent_kernel(a, b)
     gens = (
-        BigradedMonomial(_monomial(_max_exponents(columns, spread, p.r, p.s)), p)
+        BigradedMonomial(_monomial(_max_exponents(columns, spread, *p)), p)
         for p in fan.degrees
     )
     return GeneratorSet(tuple(gens), fan)
@@ -125,20 +125,19 @@ def _verify_grid(
     public verifiers check the bounds with ``_check_grid``.  A fan with no
     cones holds no cell, so every cell fails with ``reasons[0]``."""
     total = _grid_cells(r_max, s_max, max_candidates)
-    if not fan.cones:
+    cones = fan.cones
+    if not cones:
         return VerificationReport(False, total, total, _point(0, 0), reasons[0])
-    lows = [(c.ray_low.r, c.ray_low.s) for c in fan.cones]
-    chains = []  # per cone: element coordinates and values (None if absent), det 1 per pair
+    chains = []  # per cone: elements and values (None if absent), det 1 per pair
     for chain in fan.chains:
-        points = [(e.r, e.s) for e in chain]
-        unimodular = [lr * hs - ls * hr == 1 for (hr, hs), (lr, ls) in zip(points, points[1:])]
-        chains.append((points, [available.get(e) for e in chain], unimodular))
+        unimodular = [lr * hs - ls * hr == 1 for (hr, hs), (lr, ls) in zip(chain, chain[1:])]
+        chains.append((chain, [available.get(e) for e in chain], unimodular))
     failures = 0
     first = reason = None
     for r in range(r_max + 1):
-        i, j = len(lows) - 1, None
+        i, j = len(cones) - 1, None
         for s in range(s_max + 1):
-            while i and lows[i - 1][0] * s >= lows[i - 1][1] * r:
+            while i and det(cones[i - 1].ray_low, (r, s)) >= 0:
                 i, j = i - 1, None
             points, values, unimodular = chains[i]
             n = len(points)
@@ -169,14 +168,15 @@ def _verify_grid(
     return VerificationReport(failures == 0, total, failures, first, reason)
 
 
-def _fan_rays(cones: Sequence[Cone2]) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Check 1 of the certificates: the (r, s) coordinates of the cones'
-    ray_high and ray_low, in cone order, if the cones run contiguously from
-    the ray (0,1) to (1,0), each cone's ray_low the next one's ray_high.
-    Otherwise ValueError names the first joint where they do not; a fan
-    with no cones fails at its first."""
-    highs = [(c.ray_high.r, c.ray_high.s) for c in cones]
-    lows = [(c.ray_low.r, c.ray_low.s) for c in cones]
+def _fan_rays(cones: Sequence[Cone2]) -> tuple[list[LatticePoint2], list[LatticePoint2]]:
+    """Check 1 of the certificates: the cones' ray_high and ray_low, in cone
+    order, if the cones run contiguously from the ray (0,1) to (1,0), each
+    cone's ray_low the next one's ray_high; a point equals its (r, s) pair,
+    so the rays compare with the plain pairs of the two axes.  Otherwise
+    ValueError names the first joint where they do not; a fan with no cones
+    fails at its first."""
+    highs = [c.ray_high for c in cones]
+    lows = [c.ray_low for c in cones]
     if highs == [(0, 1), *lows[:-1]] and lows[-1:] == [(1, 0)]:
         return highs, lows
     j = next(j for j, (low, high) in enumerate(zip([(0, 1), *lows], [*highs, (1, 0)]))
@@ -190,20 +190,19 @@ def _fan_rays(cones: Sequence[Cone2]) -> tuple[list[tuple[int, int]], list[tuple
     raise ValueError(f"fan cones do not run contiguously from (0,1) to (1,0): {fault}")
 
 
-def _unimodular_chain(fan: Fan) -> Optional[tuple[list[LatticePoint2], list[tuple[int, int]]]]:
+def _unimodular_chain(fan: Fan) -> Optional[list[LatticePoint2]]:
     """Checks 1 and 2 of the certificates, read off ``fan`` without trusting it:
 
     1. the cones run contiguously from the ray (0,1) to (1,0) (``_fan_rays``);
     2. each chain runs from its cone's ray_high to its ray_low in N^2, with
        det(l, h) = 1 for every step (h, l).
 
-    If both hold, the chains joined end to end, each joint once, and the
-    (r, s) coordinates of those elements; else None.  The joined chain then
-    splits the quadrant into subcones of determinant 1 in descending slope,
-    each inside one cone: a cell p of the subcone (h, l) is
-    det(p, h)*l + det(l, p)*h with both multiplicities >= 0, the pair the
-    grid walk takes for p, and a degenerate cone's one-element chain adds
-    no step."""
+    If both hold, the chains joined end to end, each joint once, as one
+    list of points; else None.  The joined chain then splits the quadrant
+    into subcones of determinant 1 in descending slope, each inside one
+    cone: a cell p of the subcone (h, l) is det(p, h)*l + det(l, p)*h with
+    both multiplicities >= 0, the pair the grid walk takes for p, and a
+    degenerate cone's one-element chain adds no step."""
     cones, chains = fan.cones, fan.chains
     if len(cones) != len(chains) or not all(chains):
         return None
@@ -211,17 +210,14 @@ def _unimodular_chain(fan: Fan) -> Optional[tuple[list[LatticePoint2], list[tupl
         highs, lows = _fan_rays(cones)
     except ValueError:
         return None
-    if [(ch[0].r, ch[0].s) for ch in chains] != highs:
-        return None
-    if [(ch[-1].r, ch[-1].s) for ch in chains] != lows:
+    if [ch[0] for ch in chains] != highs or [ch[-1] for ch in chains] != lows:
         return None
     elements = [chains[0][0], *(e for chain in chains for e in chain[1:])]  # each joint once
-    points = [(e.r, e.s) for e in elements]
-    if min(map(min, points)) < 0:
+    if min(map(min, elements)) < 0:
         return None
-    if any(lr * hs - ls * hr != 1 for (hr, hs), (lr, ls) in zip(points, points[1:])):
+    if any(lr * hs - ls * hr != 1 for (hr, hs), (lr, ls) in zip(elements, elements[1:])):
         return None
-    return elements, points
+    return elements
 
 
 def _certified(
@@ -251,14 +247,13 @@ def _certified(
     once per distinct column and spread to all n columns before one
     exponent-tuple comparison; nothing is sorted.
     """
-    chain = _unimodular_chain(fan)
-    if chain is None:
+    elements = _unimodular_chain(fan)
+    if elements is None:
         return False
-    elements, points = chain
     rays = {(y // g, x // g) for x, y in columns if (g := gcd(x, y))}  # a_k + b_k > 0
-    if not rays.issubset(points):
+    if not rays.issubset(elements):
         return False
-    return all(coeffs.get(e) == _max_exponents(columns, spread, e.r, e.s) for e in elements)
+    return all(coeffs.get(e) == _max_exponents(columns, spread, *e) for e in elements)
 
 
 def verify_generation(

@@ -2,8 +2,9 @@
 
 Primitive vectors, pointed rational cones given by two rays, Hilbert bases as
 slope-ordered chains, and decomposition of lattice points into basis elements.
-Public constructors and functions check their arguments; points and cones
-derived from checked values are built unchecked by ``_point`` and ``_cone``.
+A point is its (r, s) pair: ``LatticePoint2`` is a tuple.  Public
+constructors and functions check their arguments; points and cones derived
+from checked values are built unchecked by ``_point`` and ``_cone``.
 All arithmetic uses Python integers (arbitrary precision, so there is no
 silent wraparound); every value is immutable and every operation is a pure
 function, safe for concurrent use.
@@ -11,7 +12,7 @@ function, safe for concurrent use.
 
 from functools import cmp_to_key
 from math import gcd
-from operator import attrgetter, eq, ge, gt, le, lt
+from operator import attrgetter, eq, ge, gt, itemgetter, le, lt
 from typing import Callable, Iterable, Optional
 
 
@@ -24,8 +25,9 @@ def _value_class(order: bool = False) -> Callable[[type], type]:
     ``__match_args__`` lists the fields, and assignment or deletion raises
     AttributeError.  A method the class defines itself is kept, so a hot
     class can spell out a faster ``__eq__`` and ``__hash__``.  Instances keep
-    their ``__dict__`` or slots: unchecked constructors such as ``_point``
+    their ``__dict__`` or slots: unchecked constructors such as ``_cone``
     fill them directly, and ``cached_property`` stores into the ``__dict__``.
+    ``LatticePoint2``, a tuple, takes no part; ``_point`` fills no ``__dict__``.
     Building a class this way runs no ``exec``, so it adds next to nothing to
     the import time."""
 
@@ -69,12 +71,24 @@ def _value_class(order: bool = False) -> Callable[[type], type]:
     return decorate
 
 
-@_value_class(order=True)
-class LatticePoint2:
-    """A point (r, s) of the nonnegative integer lattice N^2."""
+class LatticePoint2(tuple):
+    """A point (r, s) of the nonnegative integer lattice N^2, and the pair
+    itself: a tuple of its two coordinates, read as ``p.r`` and ``p.s`` or
+    unpacked as ``r, s = p``.  It equals, hashes and orders as ``(r, s)``,
+    and so does ``json``'s encoding of it, ``[r, s]``; the rest is a frozen
+    value class's: keyword construction, ``repr``, ``__match_args__``,
+    copying and pickling, and assignment or deletion raises AttributeError.
+    ``+`` and ``-`` add coordinates, and ``*`` is no tuple repetition."""
 
-    r: int
-    s: int
+    __slots__ = ()
+    __match_args__ = ("r", "s")
+    r = property(itemgetter(0))
+    s = property(itemgetter(1))
+
+    def __new__(cls, r=None, s=None, *args, **kwargs):
+        # the pair only: __init__ checks the call and the values, so its
+        # errors read as a frozen dataclass's
+        return tuple.__new__(cls, (r, s))
 
     def __init__(self, r: int, s: int):
         for name, value in (("r", r), ("s", s)):
@@ -82,15 +96,20 @@ class LatticePoint2:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
-        self.__dict__.update(r=r, s=s)
 
-    def __eq__(self, other):  # spelled out: points are hashed and compared on hot paths
-        if other.__class__ is self.__class__:
-            return (self.r, self.s) == (other.r, other.s)
+    def __getnewargs__(self) -> tuple[int, int]:
+        return tuple(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __mul__(self, other):
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.r, self.s))
+    __rmul__ = __mul__
 
     def __add__(self, other: "LatticePoint2") -> "LatticePoint2":
         return LatticePoint2(self.r + other.r, self.s + other.s)
@@ -105,27 +124,29 @@ class LatticePoint2:
     def is_origin(self) -> bool:
         return self.r == 0 and self.s == 0
 
+    def __repr__(self) -> str:
+        return f"LatticePoint2(r={self.r!r}, s={self.s!r})"
+
     def __str__(self) -> str:
         return f"({self.r},{self.s})"
 
 
 def _point(r: int, s: int) -> LatticePoint2:
     """A LatticePoint2 without its constructor's checks, from checked values."""
-    p = object.__new__(LatticePoint2)
-    p.__dict__.update(r=r, s=s)
-    return p
+    return tuple.__new__(LatticePoint2, (r, s))
 
 
 def det(p: LatticePoint2, q: LatticePoint2) -> int:
-    """Cross product p.r*q.s - p.s*q.r; positive iff q is steeper than p."""
-    return p.r * q.s - p.s * q.r
+    """Cross product p.r*q.s - p.s*q.r of points or pairs; positive iff q is steeper than p."""
+    (pr, ps), (qr, qs) = p, q
+    return pr * qs - ps * qr
 
 
 def primitive(v: LatticePoint2) -> LatticePoint2:
     """The primitive vector on the ray of v (components divided by their gcd)."""
     if v.is_origin():
         raise ValueError("zero ray")
-    g = gcd(v.r, v.s)
+    g = gcd(*v)
     return _point(v.r // g, v.s // g)
 
 
@@ -143,7 +164,7 @@ class Cone2:
 
     def __init__(self, ray_low: LatticePoint2, ray_high: LatticePoint2):
         for name, ray in (("ray_low", ray_low), ("ray_high", ray_high)):
-            if gcd(ray.r, ray.s) != 1:  # 0 at the origin
+            if gcd(*ray) != 1:  # 0 at the origin
                 raise ValueError(f"{name} {ray} is not primitive" if ray.r or ray.s else "zero ray")
         if det(ray_low, ray_high) < 0:
             raise ValueError(f"ray_high {ray_high} has smaller slope than ray_low {ray_low}")
@@ -179,7 +200,7 @@ def slope_descending(points: Iterable[LatticePoint2]) -> list[LatticePoint2]:
         d = det(p, q)  # > 0 iff q is steeper than p
         if d != 0:
             return 1 if d > 0 else -1
-        return -1 if (p.r, p.s) < (q.r, q.s) else (1 if (p.r, p.s) > (q.r, q.s) else 0)
+        return -1 if p < q else (1 if p > q else 0)
 
     return sorted(points, key=cmp_to_key(cmp))
 
@@ -196,20 +217,13 @@ class HilbertBasis2:
         self.__dict__["elements"] = elements
 
 
-def _parallelogram_points(c: Cone2) -> list[LatticePoint2]:
-    """Nonzero lattice points of {l1*ray_low + l2*ray_high : 0 <= l1, l2 <= 1}."""
-    wl, wh = c.ray_low, c.ray_high
-    d = det(wl, wh)
-    points = []
-    for r in range(wl.r + wh.r + 1):
-        for s in range(wl.s + wh.s + 1):
-            if r == 0 and s == 0:
-                continue
-            p = _point(r, s)
-            # Cramer: l1 = det(p, ray_high)/d, l2 = det(ray_low, p)/d
-            if 0 <= det(p, wh) <= d and 0 <= det(wl, p) <= d:
-                points.append(p)
-    return points
+def _parallelogram_points(c: Cone2) -> list[tuple[int, int]]:
+    """Nonzero lattice points (r, s) of {l1*ray_low + l2*ray_high : 0 <= l1, l2 <= 1}."""
+    (lr, ls), (hr, hs) = c.ray_low, c.ray_high
+    d = lr * hs - ls * hr
+    # Cramer: l1 = det(p, ray_high)/d, l2 = det(ray_low, p)/d
+    return [(r, s) for r in range(lr + hr + 1) for s in range(ls + hs + 1)
+            if (r or s) and 0 <= r * hs - s * hr <= d and 0 <= lr * s - ls * r <= d]
 
 
 def hilbert_basis(c: Cone2) -> HilbertBasis2:
@@ -219,7 +233,8 @@ def hilbert_basis(c: Cone2) -> HilbertBasis2:
     the two rays, and both parts of any splitting of a parallelogram point
     into nonzero cone points stay inside the parallelogram (their ray
     coefficients can only shrink), so irreducibility is decided by scanning
-    pairwise sums of parallelogram points.  A degenerate cone has the
+    pairwise differences of parallelogram points, as plain (r, s) pairs;
+    only the irreducible ones become points.  A degenerate cone has the
     singleton basis consisting of its primitive ray, and a unimodular cone
     (det 1: its rays are a lattice basis, so the parallelogram holds no other
     point) the basis (ray_high, ray_low), both without a scan.  The elements
@@ -231,13 +246,11 @@ def hilbert_basis(c: Cone2) -> HilbertBasis2:
         return HilbertBasis2((c.ray_high, c.ray_low))
     points = _parallelogram_points(c)
     point_set = set(points)
-
-    def reducible(p: LatticePoint2) -> bool:
-        return any(
-            q.r <= p.r and q.s <= p.s and (p - q) in point_set for q in points
-        )
-
-    return HilbertBasis2(tuple(slope_descending(p for p in points if not reducible(p))))
+    irreducible = [
+        _point(r, s) for r, s in points
+        if not any(qr <= r and qs <= s and (r - qr, s - qs) in point_set for qr, qs in points)
+    ]
+    return HilbertBasis2(tuple(slope_descending(irreducible)))
 
 
 def decompose_over(

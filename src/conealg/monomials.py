@@ -418,7 +418,7 @@ def format_bigraded(bm: BigradedMonomial, variables: Sequence[str]) -> str:
     parts = []
     if not bm.coeff.is_unit():
         parts.append(format_monomial(bm.coeff, variables))
-    for sym, e in zip(GRADING_SYMBOLS, (bm.degree.r, bm.degree.s)):
+    for sym, e in zip(GRADING_SYMBOLS, bm.degree):
         if e == 1:
             parts.append(sym)
         elif e > 1:

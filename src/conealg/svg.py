@@ -15,7 +15,7 @@ _POINT_FILL = "#b91c1c"
 
 def render_fan_svg(fan: Fan) -> str:
     # every ray ends a chain, so the distinct chain points bound the picture
-    extent = max(6, *(max(p.r, p.s) for p in fan.degrees))
+    extent = max(6, *map(max, fan.degrees))
     size = extent * _SCALE + 2 * _MARGIN
 
     def x(v: int) -> int:
@@ -25,7 +25,7 @@ def render_fan_svg(fan: Fan) -> str:
         return _MARGIN + (extent - v) * _SCALE
 
     def ray_end(ray: LatticePoint2) -> LatticePoint2:
-        return ray.scaled(max(1, extent // max(ray.r, ray.s)))
+        return ray.scaled(max(1, extent // max(ray)))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}"'

@@ -263,13 +263,14 @@ def test_principal_spec_on_the_largest_grid_answers_at_once(tmp_path, capsys, de
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
-def test_function_with_a_piece_count_off_the_fan_is_left_to_the_walk(extra):
-    """An unchecked function with one piece too few or too many: the cells
-    of the 0x1 grid lie in cone 0, so the walk reads only a piece that
-    exists and passes, and the certificate must leave it the verdict."""
+def test_function_with_a_piece_count_off_the_fan_is_refused(extra):
+    """A function with one piece too few or too many is refused where it is
+    built, so neither the certificate nor the walk ever reads a piece that
+    is missing."""
     spec = _principal_spec()
     pieces = spec.functions[0].pieces
     pieces = pieces[:extra] if extra < 0 else pieces + pieces[-1:]
-    functions = (FanLinearFunction(spec.fan, pieces),) + spec.functions[1:]
-    odd = FanAlgebraSpec(spec.variables, spec.ideals, functions)
-    assert _outcome(odd, fan_algebra_generators(spec), 0, 1) == ((True, 2, 0, None, None), True)
+    n = len(spec.fan.cones)
+    with pytest.raises(ValueError) as info:
+        FanLinearFunction(spec.fan, pieces)
+    assert str(info.value) == f"one coefficient pair per cone: got {n + extra} for {n} cones"

@@ -4,8 +4,10 @@ pickling and construction must read exactly as ``@dataclass(frozen=True)``
 (``order=True`` for the ordered three) gives them."""
 
 import copy
+import json
 import operator
 import pickle
+import sys
 from dataclasses import field, make_dataclass
 from functools import cache
 
@@ -29,7 +31,7 @@ from conealg import (
     intersection_as_fan_algebra,
     intersection_generators,
 )
-from conealg.lattice import HilbertBasis2
+from conealg.lattice import HilbertBasis2, _point
 
 small = st.integers(0, 2)
 points = st.builds(LatticePoint2, small, small)
@@ -164,10 +166,31 @@ def _spec_parts():
 
 def test_value_classes_keep_their_dict():
     p = LatticePoint2(1, 2)
-    assert vars(p) == {"r": 1, "s": 2}
+    assert not hasattr(p, "__dict__")  # a point is its pair: no dict beside it
     fan = build_fan((5, 2), (2, 3))
     assert fan.chains is fan.chains and "chains" in vars(fan)  # cached_property stores there
     assert Monomial([1, 2]).exponents == (1, 2)  # a list is converted to the tuple field
+
+
+@given(small, small)
+def test_a_point_is_its_pair(r, s):
+    p = LatticePoint2(r, s)
+    assert p == (r, s) and (r, s) == p and hash(p) == hash((r, s))
+    assert {(r, s): "pair"}[p] == "pair" and {p: "point"}[(r, s)] == "point"
+    assert tuple(p) == (r, s) and (p.r, p.s) == (r, s)
+    assert json.dumps(p) == f"[{r}, {s}]"
+    assert not hasattr(p, "__dict__") and sys.getsizeof(p) == sys.getsizeof((r, s))
+    assert _point(r, s) == p and type(_point(r, s)) is LatticePoint2
+
+
+def test_a_point_does_not_repeat_as_a_tuple():
+    p = LatticePoint2(1, 2)
+    for product, left, right in ((lambda: p * 2, "LatticePoint2", "int"),
+                                 (lambda: 2 * p, "int", "LatticePoint2"),
+                                 (lambda: p * p, "LatticePoint2", "LatticePoint2")):
+        assert outcome(product) == (
+            TypeError, f"unsupported operand type(s) for *: '{left}' and '{right}'")
+    assert p + LatticePoint2(3, 4) == (4, 6) and type(p + p) is LatticePoint2
 
 
 @pytest.mark.parametrize("gens", [[], [(0, 0)], [(1, 0), (0, 1)], [(2, 1), (1, 3), (3, 1)]])
