@@ -303,6 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pair = argparse.ArgumentParser(add_help=False)  # the --a/--b of fan, verify and limits
+    pair.add_argument("--a", type=_csv_ints, required=True)
+    pair.add_argument("--b", type=_csv_ints, required=True)
 
     p = sub.add_parser("generators", help="generating set of the intersection algebra")
     p.add_argument("--ideal-i", help="principal monomial generator of I, e.g. x^5*y^2")
@@ -319,23 +322,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_hilbert_basis)
 
-    p = sub.add_parser("fan", help="the fan of two exponent vectors")
-    p.add_argument("--a", type=_csv_ints, required=True)
-    p.add_argument("--b", type=_csv_ints, required=True)
+    p = sub.add_parser("fan", help="the fan of two exponent vectors", parents=[pair])
     p.add_argument("--format", choices=("text", "json", "svg"), default="text")
     p.set_defaults(handler=_cmd_fan)
 
-    p = sub.add_parser("verify", help="reconstruct all components on a grid")
-    p.add_argument("--a", type=_csv_ints, required=True)
-    p.add_argument("--b", type=_csv_ints, required=True)
+    p = sub.add_parser("verify", help="reconstruct all components on a grid", parents=[pair])
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--smax", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("limits", help="asymptotic containment limits")
-    p.add_argument("--a", type=_csv_ints, required=True)
-    p.add_argument("--b", type=_csv_ints, required=True)
+    p = sub.add_parser("limits", help="asymptotic containment limits", parents=[pair])
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=_cmd_limits)
 

@@ -6,9 +6,9 @@ g_i(r, s) = alpha_i*r + beta_i*s.  It is fan-linear when it is nonnegative on
 each cone, agrees across shared rays, and is subadditive on all of N^2.  For
 functions linear on the cones of a complete fan (and zero at the origin),
 subadditivity is equivalent to the function being the pointwise max of its
-pieces, which reduces to finitely many ray comparisons; that is the exact
-decision procedure used here.  A failed comparison yields the subadditivity
-witness directly: a genuine violating pair, not necessarily the smallest.
+pieces, which reduces to finitely many ray comparisons, made here in one
+sweep.  A failed comparison yields the subadditivity witness directly: a
+genuine violating pair, not necessarily the smallest.
 """
 
 from functools import cache
@@ -18,7 +18,6 @@ from typing import Iterable, Optional, Sequence
 from .fans import Fan, build_fan, locate
 from .generators import (
     VerificationReport,
-    _check_grid,
     _fan_rays,
     _grid_cells,
     _unimodular_chain,
@@ -85,8 +84,8 @@ class FanLinearFunction:
 
 
 def _subadditivity_witness(f: FanLinearFunction, i: int, w: LatticePoint2):
-    """(p, q, f(p), f(q), f(p + q)) with f(p) + f(q) < f(p + q), from the
-    steepest ray w at which the piece g_i of a non-degenerate cone exceeds f.
+    """The rejection of f by a pair (p, q) with f(p) + f(q) < f(p + q), from
+    the steepest ray w at which the piece g_i of a non-degenerate cone exceeds f.
     Cone i lies below w: a steeper piece exceeds f at w only past a concave
     kink above w, where the lower piece exceeds f at a steeper ray.  The least
     multiple q of ray_low_i with w + q in cone i gives f(w) + f(q) <
@@ -94,7 +93,8 @@ def _subadditivity_witness(f: FanLinearFunction, i: int, w: LatticePoint2):
     c = f.fan.cones[i]
     q = c.ray_low.scaled(-(det(w, c.ray_high) // det(c.ray_low, c.ray_high)))
     p, q = sorted((w, q), key=lambda x: (x.r + x.s, x.r))
-    return p, q, f(p), f(q), f(p + q)
+    message = f"f{p}+f{q} = {f(p)}+{f(q)} < f{p + q} = {f(p + q)}"
+    return FanLinearityError("subadditivity", (p, q), message)
 
 
 def check_fan_linear(
@@ -109,24 +109,24 @@ def check_fan_linear(
 
     The cones must run contiguously from the ray (0,1) to (1,0), as every
     fan from ``build_fan`` does; otherwise ValueError names the first joint
-    where they do not, before any piece is read.
+    where they do not, before any piece is read.  Subadditivity is decided
+    in one O(C log C) sweep over the upper hull of the C pieces; its
+    reference is the O(C^2) ray scan of the tests, ``reference_subadditivity_scan``.
     """
     _fan_rays(fan.cones)
     normalized = []
     for i, pair in enumerate(pieces):
         if len(pair) != 2:
             raise ValueError(f"piece {i}: expected a pair (alpha, beta), got {len(pair)} entries")
-        alpha, beta = pair
-        for x in (alpha, beta):
+        for x in pair:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"piece coefficients must be integers, got {x!r}")
-        normalized.append((alpha, beta))
+        normalized.append(tuple(pair))
     f = FanLinearFunction(fan, tuple(normalized))
 
     for i, c in enumerate(fan.cones):
         for ray in (c.ray_high, c.ray_low):
-            value = f.piece_value(i, ray)
-            if value < 0:
+            if (value := f.piece_value(i, ray)) < 0:
                 raise FanLinearityError(
                     "nonnegativity", ray, f"piece {i} is negative at ray {ray}: {value}"
                 )
@@ -136,39 +136,33 @@ def check_fan_linear(
         left, right = f.piece_value(i, shared), f.piece_value(i + 1, shared)
         if left != right:
             raise FanLinearityError(
-                "face_agreement",
-                shared,
-                f"face disagreement at {shared}: {left} != {right}",
+                "face_agreement", shared, f"face disagreement at {shared}: {left} != {right}"
             )
 
-    # Subadditive iff f equals the max of its pieces everywhere, iff f is
-    # convex.  A degenerate cone's piece is never used off its ray, where
-    # face agreement already pins it, so it takes no part.  Since each cone's
-    # ray_low is the next one's ray_high, f is convex iff it is convex at
-    # each wall: for consecutive non-degenerate cones i < k, g_k - g_i is
-    # linear and vanishes on their shared ray, so its sign at ray_high_i
-    # decides it on all of cone i.
-    cones = fan.cones
-    used = [i for i, c in enumerate(cones) if not c.is_degenerate]
-    if all(
-        f.piece_value(k, cones[i].ray_high) <= f.piece_value(i, cones[i].ray_high)
-        for i, k in zip(used, used[1:])
-    ):
-        return f
-    # Otherwise every piece must be dominated by the owning piece at both
-    # rays of every cone; rays are visited steepest first, and the first
-    # failure names the witness.
-    for j, c in enumerate(cones):
+    # Subadditive iff f is the max of its pieces, iff no piece exceeds the
+    # owner at a ray; a degenerate cone's piece, pinned on its ray by face
+    # agreement, takes no part.  The largest piece at a ray is on the upper
+    # hull of the distinct (alpha, beta) (Andrew's monotone chain); the rays
+    # run from (0,1), best at its highest vertex, to (1,0): its cursor only moves right.
+    used = [i for i, c in enumerate(fan.cones) if not c.is_degenerate]
+    hull: list[tuple[int, int]] = []
+    for alpha, beta in sorted({f.pieces[i] for i in used}):
+        while len(hull) > 1 and (hull[-1][0] - hull[-2][0]) * (beta - hull[-2][1]) >= (
+            hull[-1][1] - hull[-2][1]
+        ) * (alpha - hull[-2][0]):  # hull[-1] is no right turn
+            hull.pop()
+        hull.append((alpha, beta))
+    k = 0
+    for (alpha, beta), c in zip(f.pieces, fan.cones):
         for ray in (c.ray_high, c.ray_low):
-            owner = f.piece_value(j, ray)
-            for i in used:
-                if f.piece_value(i, ray) > owner:
-                    p, q, fp, fq, fpq = _subadditivity_witness(f, i, ray)
-                    raise FanLinearityError(
-                        "subadditivity",
-                        (p, q),
-                        f"f{p}+f{q} = {fp}+{fq} < f{p + q} = {fpq}",
-                    )
+            r, s = ray
+            top = hull[k][0] * r + hull[k][1] * s
+            while k + 1 < len(hull) and (value := hull[k + 1][0] * r + hull[k + 1][1] * s) >= top:
+                k, top = k + 1, value
+            owner = alpha * r + beta * s
+            if top > owner:  # the first piece that exceeds the owner names the witness
+                raise _subadditivity_witness(
+                    f, next(i for i in used if f.piece_value(i, ray) > owner), ray)
     return f
 
 
@@ -378,9 +372,8 @@ def verify_fan_algebra(
     powers from the spec, which keeps those of an earlier
     fan_algebra_generators call.
     """
-    _check_grid(r_max, s_max)
+    total = _grid_cells(r_max, s_max)
     cap = _candidate_cap()
-    total = _grid_cells(r_max, s_max, cap)
     by_degree: dict[LatticePoint2, set[Monomial]] = {}
     for g in gens:
         by_degree.setdefault(g.degree, set()).add(g.coeff)
@@ -397,7 +390,6 @@ def verify_fan_algebra(
         lambda low, m, high, n: _product_of_powers(spec, ((low, m), (high, n)), cap),
         lambda i, r, s: _component_on_cone(spec, i, _point(r, s), cap),
         reasons,
-        cap,
     )
 
 

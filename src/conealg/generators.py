@@ -82,19 +82,16 @@ class VerificationReport:
         )
 
 
-def _check_grid(r_max: int, s_max: int) -> None:
-    """Raise ValueError unless both grid bounds are nonnegative ints (a bool is not)."""
+def _grid_cells(r_max: int, s_max: int) -> int:
+    """The cells of the grid [0..r_max] x [0..s_max]: ValueError unless both
+    bounds are nonnegative ints (a bool is not), then PowerCapError past the cap."""
     for bound in (r_max, s_max):
         if not isinstance(bound, int) or isinstance(bound, bool):
             raise ValueError(f"grid bounds must be integers, got {bound!r}")
     if r_max < 0 or s_max < 0:
         raise ValueError("grid bounds must be nonnegative")
-
-
-def _grid_cells(r_max: int, s_max: int, max_candidates: Optional[int] = None) -> int:
-    """The number of cells of the grid, or PowerCapError if it passes the cap."""
     total = (r_max + 1) * (s_max + 1)
-    cap = _candidate_cap(max_candidates)
+    cap = _candidate_cap()
     if total > cap:
         raise PowerCapError(f"grid too large: {total} cells exceed cap {cap}")
     return total
@@ -108,7 +105,6 @@ def _verify_grid(
     product: Callable[[object, int, object, int], object],
     component: Callable[[int, int, int], object],
     reasons: tuple[str, str],
-    max_candidates: Optional[int] = None,
 ) -> VerificationReport:
     """The grid loop of both verifiers.  Each p = (r, s) is written along the
     bracketing pair (h, l) of ``fan.chains[i]``, the Hilbert chain of its cone
@@ -120,11 +116,10 @@ def _verify_grid(
     multiplicity 0) must equal ``component(i, r, s)``, called once per cell,
     or it fails with ``reasons[1]``.  Along a row s grows, so
     det(ray_low, p) and det(e, p) never decrease: two cursors find the cone
-    (as ``locate`` does) and the pair, moving only towards index 0.  A grid
-    of more cells than the candidate cap raises PowerCapError first; the
-    public verifiers check the bounds with ``_check_grid``.  A fan with no
-    cones holds no cell, so every cell fails with ``reasons[0]``."""
-    total = _grid_cells(r_max, s_max, max_candidates)
+    (as ``locate`` does) and the pair, moving only towards index 0.  It reads
+    no cap: the verifiers call ``_grid_cells`` first.  A fan with no cones
+    holds no cell, so every cell fails with ``reasons[0]``."""
+    total = (r_max + 1) * (s_max + 1)
     cones = fan.cones
     if not cones:
         return VerificationReport(False, total, total, _point(0, 0), reasons[0])
@@ -277,10 +272,10 @@ def verify_generation(
     ``gens``) with their multiplicities, and compare the sum, column by
     column, with the tuple of max(r*a_k, s*b_k), computed for every cell by
     the certificate's oracle.  Failures are reported, never raised.
-    Coefficients of another length raise ValueError; a grid of more cells
-    than the candidate cap raises PowerCapError, certified or not.
+    ``_grid_cells`` checks the grid first, certified or not; then a bad pair
+    or coefficients of another length raise ValueError.
     """
-    _check_grid(r_max, s_max)
+    total = _grid_cells(r_max, s_max)
     a, b = tuple(a), tuple(b)
     _check_pair(a, b)
     coeffs = {bm.degree: bm.coeff.exponents for bm in gens.generators}
@@ -289,7 +284,7 @@ def verify_generation(
             raise ValueError(f"generator at degree {degree} has {len(v)} exponents, expected {len(a)}")
     columns, spread = _exponent_kernel(a, b)
     if _certified(columns, spread, gens.fan, coeffs):
-        return VerificationReport(True, _grid_cells(r_max, s_max), 0, None, None)
+        return VerificationReport(True, total, 0, None, None)
     zero = (0,) * len(a)
 
     def product(

@@ -78,7 +78,8 @@ class LatticePoint2(tuple):
     and so does ``json``'s encoding of it, ``[r, s]``; the rest is a frozen
     value class's: keyword construction, ``repr``, ``__match_args__``,
     copying and pickling, and assignment or deletion raises AttributeError.
-    ``+`` and ``-`` add coordinates, and ``*`` is no tuple repetition."""
+    ``+`` and ``-`` take a point or a plain pair on either side and give a
+    checked point, and ``*`` is no tuple repetition."""
 
     __slots__ = ()
     __match_args__ = ("r", "s")
@@ -111,12 +112,19 @@ class LatticePoint2(tuple):
 
     __rmul__ = __mul__
 
-    def __add__(self, other: "LatticePoint2") -> "LatticePoint2":
-        return LatticePoint2(self.r + other.r, self.s + other.s)
+    def __add__(self, other: tuple[int, int]) -> "LatticePoint2":
+        (r, s), (x, y) = self, _pair(other, "+")
+        return LatticePoint2(r + x, s + y)
 
-    def __sub__(self, other: "LatticePoint2") -> "LatticePoint2":
-        # raises ValueError if the difference leaves the first quadrant
-        return LatticePoint2(self.r - other.r, self.s - other.s)
+    __radd__ = __add__
+
+    def __sub__(self, other: tuple[int, int]) -> "LatticePoint2":
+        (r, s), (x, y) = self, _pair(other, "-")
+        return LatticePoint2(r - x, s - y)
+
+    def __rsub__(self, other: tuple[int, int]) -> "LatticePoint2":
+        (r, s), (x, y) = self, _pair(other, "-")
+        return LatticePoint2(x - r, y - s)
 
     def scaled(self, k: int) -> "LatticePoint2":
         return LatticePoint2(self.r * k, self.s * k)
@@ -129,6 +137,13 @@ class LatticePoint2(tuple):
 
     def __str__(self) -> str:
         return f"({self.r},{self.s})"
+
+
+def _pair(other, op: str) -> tuple:
+    """``other`` if it is a point or a plain pair; else TypeError, so no tuple concatenates."""
+    if isinstance(other, tuple) and len(other) == 2:
+        return other
+    raise TypeError(f"unsupported operand for {op}: a point and {other!r}, not a pair")
 
 
 def _point(r: int, s: int) -> LatticePoint2:

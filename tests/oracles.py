@@ -15,9 +15,9 @@ recombination.  Its fan-algebra components multiply every power in turn
 (``reference_product_of_powers``), where the library folds the principal
 ones into one translate; ``iterated_power`` forms A^m by m products with A,
 where the library takes a principal power in closed form.
-``check_fan_linear`` accepts by one comparison per wall; the ray scan it
-keeps for rejections (``reference_subadditivity_scan``) is the reference for
-that decision.
+``check_fan_linear`` decides by one sweep over the upper hull of the pieces;
+the O(C^2) ray scan (``reference_subadditivity_scan``) is the reference for
+that sweep: its acceptance, and its rejection's ray, piece and witness.
 """
 
 import itertools
@@ -27,7 +27,6 @@ from functools import reduce
 
 from conealg import (
     Cone2,
-    FanLinearityError,
     LatticePoint2,
     Monomial,
     MonomialIdeal,
@@ -80,10 +79,10 @@ def brute_subadditivity_witness(f, max_total: int):
 
 
 def reference_subadditivity_scan(f) -> None:
-    """The O(C^2) ray scan that ``check_fan_linear`` keeps for rejections:
-    raise FanLinearityError, with the library's witness and message, at the
-    first ray (steepest first) where some non-degenerate cone's piece
-    exceeds the owning piece.  The reference for its O(C) wall check."""
+    """The O(C^2) ray scan: raise FanLinearityError, with the library's
+    witness and message, at the first ray (steepest first) where some
+    non-degenerate cone's piece exceeds the owning piece, naming the first
+    such piece.  The reference for the sweep of ``check_fan_linear``."""
     cones = f.fan.cones
     used = [i for i, c in enumerate(cones) if not c.is_degenerate]
     for j, c in enumerate(cones):
@@ -91,10 +90,7 @@ def reference_subadditivity_scan(f) -> None:
             owner = f.piece_value(j, ray)
             for i in used:
                 if f.piece_value(i, ray) > owner:
-                    p, q, fp, fq, fpq = _subadditivity_witness(f, i, ray)
-                    raise FanLinearityError(
-                        "subadditivity", (p, q), f"f{p}+f{q} = {fp}+{fq} < f{p + q} = {fpq}"
-                    )
+                    raise _subadditivity_witness(f, i, ray)
 
 
 def brute_irreducibles(c: Cone2) -> set[LatticePoint2]:

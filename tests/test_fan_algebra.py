@@ -33,6 +33,7 @@ from conealg import (
     principal_cap_maximal_power,
     verify_fan_algebra,
 )
+from conealg.cli import main
 from conealg.fan_algebra import _product_of_powers, graded_component
 from conealg.fans import Fan
 from conealg.lattice import det
@@ -217,18 +218,23 @@ def test_thin_cone_rejection_witness_is_built_not_searched(deadline):
 @st.composite
 def ray_valued_functions(draw):
     """(fan, pieces) on the fan of a random pair, degenerate cones included,
-    with each piece solved from one value per ray: random values, or those of
-    the max of random forms (convex, so fan-linear).  The values are scaled
-    by the product of the cone determinants, so that every piece is
+    with each piece solved from one value per ray: random values, those of
+    the max of random forms (convex, so fan-linear), or those with one ray's
+    value lowered (a dent, concave only around that ray).  The values are
+    scaled by the product of the cone determinants, so that every piece is
     integral; a degenerate cone's piece is a random integer solution on its
     ray.  Nonnegative and face-agreeing by construction."""
-    fan = build_fan(*draw(column_pairs(max_columns=5)))
+    fan = build_fan(*draw(column_pairs(max_columns=12)))
     rays = dict.fromkeys(w for c in fan.cones for w in (c.ray_high, c.ray_low))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("random", "convex", "dent")))
+    if kind == "random":
         values = {w: draw(st.integers(0, 9)) for w in rays}
     else:
-        forms = draw(st.lists(FORMS, min_size=1, max_size=3))
+        forms = draw(st.lists(FORMS, min_size=1, max_size=6))
         values = {w: max(alpha * w.r + beta * w.s for alpha, beta in forms) for w in rays}
+    if kind == "dent":
+        w = draw(st.sampled_from(list(rays)))
+        values[w] = max(0, values[w] - draw(st.integers(1, 9)))
     scale = math.prod(det(c.ray_low, c.ray_high) for c in fan.cones if not c.is_degenerate)
     pieces = []
     for c in fan.cones:
@@ -249,8 +255,8 @@ def ray_valued_functions(draw):
 @settings(max_examples=500, deadline=None)
 @given(ray_valued_functions())
 def test_wall_check_decides_as_the_ray_scan(candidate):
-    # check_fan_linear accepts by one comparison per wall; the ray scan it
-    # keeps for rejections is the reference for acceptance, condition,
+    # check_fan_linear decides by one sweep over the upper hull of the
+    # pieces; the ray scan is the reference for acceptance, condition,
     # message and witness
     fan, pieces = candidate
     f = FanLinearFunction(fan, tuple(pieces))
@@ -302,6 +308,24 @@ def test_many_cones_are_accepted_in_linear_time(deadline):
     with deadline(0.5):
         spec = load_fan_algebra_spec(json.dumps(payload))
     assert len(spec.fan.cones) == 3000
+
+
+def test_many_cones_are_rejected_at_the_last_wall_in_time(tmp_path, capsys, deadline):
+    # 3001 det-1 cones between the rays (1, k): f(1, k) = k^2 + 3 and
+    # f(0, 1) = 6001 make f convex down to (1, 2), and the last cone's piece
+    # 4s is concave at the wall (1, 1), exceeding f only at (1, 2); the ray
+    # scan compares every piece at nearly every ray before it gets there
+    n = 3000
+    pieces = [[n * n + 3 - n * (2 * n + 1), 2 * n + 1]]
+    pieces += [[3 - k * k - k, 2 * k + 1] for k in range(n - 1, 0, -1)] + [[0, 4]]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"variables": ["x"], "a": list(range(n, 0, -1)), "b": [1] * n,
+                                "ideals": [["x"]], "pieces": [pieces]}))
+    with deadline(1):
+        code = main(["fan-algebra", "--spec", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: f(1,0)+f(1,2) = 0+7 < f(2,2) = 8\n"
 
 
 def test_degenerate_cone_piece_is_ignored_off_its_ray(deadline):

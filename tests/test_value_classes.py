@@ -193,6 +193,22 @@ def test_a_point_does_not_repeat_as_a_tuple():
     assert p + LatticePoint2(3, 4) == (4, 6) and type(p + p) is LatticePoint2
 
 
+def test_a_point_adds_and_subtracts_a_point_or_a_pair_on_either_side():
+    p, q = LatticePoint2(3, 3), LatticePoint2(1, 2)
+    for result, expected in ((p + q, (4, 5)), (p + (1, 2), (4, 5)), ((1, 2) + p, (4, 5)),
+                             (p - q, (2, 1)), (p - (1, 2), (2, 1)), ((4, 5) - p, (1, 2))):
+        assert result == expected and type(result) is LatticePoint2
+    # a result off N^2 raises the checked constructor's ValueError
+    assert outcome(lambda: q - p) == (ValueError, "r must be nonnegative, got -2")
+    assert outcome(lambda: q - (1, 3)) == (ValueError, "s must be nonnegative, got -1")
+    assert outcome(lambda: (1, 5) - p) == (ValueError, "r must be nonnegative, got -2")
+    # any other tuple raises TypeError and never concatenates
+    for other in ((), (1,), (1, 1, 1), (1, 2, 3, 4)):
+        for call in (lambda: p + other, lambda: other + p, lambda: p - other, lambda: other - p):
+            error, text = outcome(call)
+            assert error is TypeError and "not a pair" in text
+
+
 @pytest.mark.parametrize("gens", [[], [(0, 0)], [(1, 0), (0, 1)], [(2, 1), (1, 3), (3, 1)]])
 def test_monomial_ideal_is_a_slotted_value_class(gens):
     # MonomialIdeal takes generators, not its fields, and keeps its own repr,
