@@ -364,9 +364,10 @@ def verify_fan_algebra(
     x^(sum_k piece_ik(p)*g_k), the component at p, where x^g_k generates
     I_k.
 
-    Otherwise the grid is walked row by row, each pair's determinant 1
-    checked once (see ``generators._verify_grid``), and its report, or its
-    error, is the verdict.  The component at a Hilbert degree is rebuilt
+    Otherwise the grid is walked, each cell placed on its own by ``locate``
+    and one bisection of its cone's chain, its pair's determinant 1 checked
+    there (see ``generators._verify_grid``), and its report, or its error,
+    is the verdict.  The component at a Hilbert degree is rebuilt
     from the supplied generators, so missing or tampered generators surface
     as reported failures.  Both sides of the comparison take their ideal
     powers from the spec, which keeps those of an earlier

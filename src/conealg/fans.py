@@ -67,12 +67,9 @@ class Fan:
     def degrees(self) -> dict[LatticePoint2, int]:
         """Distinct chain elements, by cone then chain order, to their first cone."""
         first: dict[LatticePoint2, int] = {}
-        previous = None
         for i, chain in enumerate(self.chains):
-            if chain is not previous:  # a repeated chain adds no element
-                for p in chain:
-                    first.setdefault(p, i)
-                previous = chain
+            for p in chain:
+                first.setdefault(p, i)
         return first
 
 

@@ -9,10 +9,11 @@ asymptotic containment limits, and runs the bounded-grid verifier that
 reconstructs every graded component from the generators.
 """
 
+from bisect import bisect_left
 from math import gcd
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .fans import Fan, _check_pair, build_fan, fan_order
+from .fans import Fan, _check_pair, build_fan, fan_order, locate
 from .lattice import Cone2, LatticePoint2, _point, _value_class, det
 from .monomials import (
     BigradedMonomial,
@@ -106,48 +107,45 @@ def _verify_grid(
     component: Callable[[int, int, int], object],
     reasons: tuple[str, str],
 ) -> VerificationReport:
-    """The grid loop of both verifiers.  Each p = (r, s) is written along the
-    bracketing pair (h, l) of ``fan.chains[i]``, the Hilbert chain of its cone
-    i, as alpha*l + beta*h = det(l, h)*p, alpha = det(p, h), beta = det(l, p),
-    so det(l, h) = 1 is checked once per pair; a one-element chain gives a
-    multiple of it.  If that fails, a multiplicity is negative or a degree
-    used is not in ``available``, the cell fails with ``reasons[0]``; else
-    ``product(available[l], alpha, available[h], beta)`` (None if absent with
-    multiplicity 0) must equal ``component(i, r, s)``, called once per cell,
-    or it fails with ``reasons[1]``.  Along a row s grows, so
-    det(ray_low, p) and det(e, p) never decrease: two cursors find the cone
-    (as ``locate`` does) and the pair, moving only towards index 0.  It reads
-    no cap: the verifiers call ``_grid_cells`` first.  A fan with no cones
-    holds no cell, so every cell fails with ``reasons[0]``."""
+    """The grid loop of both verifiers, one cell at a time in row-major order.
+    Each p = (r, s) lies in cone i = ``locate(fan, p)``, and one bisection of
+    its Hilbert chain ``fan.chains[i]`` finds the bracketing pair (h, l), the
+    first element e with det(e, p) >= 0 and the one before it (else the
+    first pair).  Then alpha*l + beta*h = det(l, h)*p, with alpha = det(p, h)
+    and beta = det(l, p), so det(l, h) = 1 is checked (or p is the origin); a
+    one-element chain gives a multiple of it, an empty one only the origin.
+    If that fails, a multiplicity is negative, a degree used is not in
+    ``available``, or i has no cone or no chain (a hand-built fan), the cell
+    fails with ``reasons[0]``; else ``product(available[l], alpha,
+    available[h], beta)`` (None if absent with multiplicity 0) must equal
+    ``component(i, r, s)``, called once per cell, or it fails with
+    ``reasons[1]``.  It reads no cap: the verifiers call ``_grid_cells``
+    first.  A fan with no cones holds no cell, so every cell fails with
+    ``reasons[0]``."""
     total = (r_max + 1) * (s_max + 1)
-    cones = fan.cones
+    cones, chains = fan.cones, fan.chains
     if not cones:
         return VerificationReport(False, total, total, _point(0, 0), reasons[0])
-    chains = []  # per cone: elements and values (None if absent), det 1 per pair
-    for chain in fan.chains:
-        unimodular = [lr * hs - ls * hr == 1 for (hr, hs), (lr, ls) in zip(chain, chain[1:])]
-        chains.append((chain, [available.get(e) for e in chain], unimodular))
+    placed = min(len(cones), len(chains))
     failures = 0
     first = reason = None
     for r in range(r_max + 1):
-        i, j = len(cones) - 1, None
         for s in range(s_max + 1):
-            while i and det(cones[i - 1].ray_low, (r, s)) >= 0:
-                i, j = i - 1, None
-            points, values, unimodular = chains[i]
-            n = len(points)
-            if n > 1:
-                j = n if j is None else j
-                while j and points[j - 1][0] * s >= points[j - 1][1] * r:
-                    j -= 1
-                t = j - 1 if 0 < j < n else 0
-                (hr, hs), (lr, ls) = points[t], points[t + 1]
-                alpha, beta = r * hs - s * hr, lr * s - ls * r
-                low, high = values[t + 1], values[t]
-                ok = (unimodular[t] or r == s == 0) and alpha >= 0 and beta >= 0
-            elif n:  # alpha >= 0, as chain elements lie in N^2
+            p = (r, s)
+            i = locate(fan, p)
+            points = chains[i] if i < placed else None
+            if points is None:  # no cone or no chain at i: only a hand-built fan
+                ok = False
+            elif len(points) > 1:
+                j = bisect_left(points, True, key=lambda e: det(e, p) >= 0)
+                t = j - 1 if 0 < j < len(points) else 0
+                h, l = points[t], points[t + 1]
+                alpha, beta = det(p, h), det(l, p)
+                low, high = available.get(l), available.get(h)
+                ok = (det(l, h) == 1 or r == s == 0) and alpha >= 0 and beta >= 0
+            elif points:  # alpha >= 0, as chain elements lie in N^2
                 ((er, es),) = points
-                alpha, beta, low, high = (r + s) // (er + es), 0, values[0], None
+                alpha, beta, low, high = (r + s) // (er + es), 0, available.get(points[0]), None
                 ok = alpha * er == r and alpha * es == s
             else:
                 alpha, beta, low, high, ok = 0, 0, None, None, r == s == 0
@@ -266,7 +264,7 @@ def verify_generation(
     below would form, so the report is a pass.  If it fails, the grid is
     walked, and its report is the verdict.
 
-    Row by row (see ``_verify_grid``), write each (r, s) along the bracketing
+    Cell by cell (see ``_verify_grid``), write each (r, s) along the bracketing
     unimodular pair of its cone's chain in ``gens.fan.chains``, add the
     exponent tuples of the generators at those degrees (which must be in
     ``gens``) with their multiplicities, and compare the sum, column by

@@ -23,8 +23,8 @@ def _value_class(order: bool = False) -> Callable[[type], type]:
     ``NotImplemented`` against another class; ``order`` adds ``<``, ``<=``,
     ``>`` and ``>=`` on that tuple; ``repr`` reads ``Name(field=value, ...)``,
     ``__match_args__`` lists the fields, and assignment or deletion raises
-    AttributeError.  A method the class defines itself is kept, so a hot
-    class can spell out a faster ``__eq__`` and ``__hash__``.  Instances keep
+    AttributeError.  A method the class defines itself is kept, such as
+    ``MonomialIdeal``'s ``repr``, which lists its generators.  Instances keep
     their ``__dict__`` or slots: unchecked constructors such as ``_cone``
     fill them directly, and ``cached_property`` stores into the ``__dict__``.
     ``LatticePoint2``, a tuple, takes no part; ``_point`` fills no ``__dict__``.

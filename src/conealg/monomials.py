@@ -107,14 +107,6 @@ class Monomial:
         _naturals("exponents", exponents)
         self.__dict__["exponents"] = exponents
 
-    def __eq__(self, other):  # spelled out: monomials are hashed and compared on hot paths
-        if other.__class__ is self.__class__:
-            return self.exponents == other.exponents
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.exponents,))
-
     @property
     def nvars(self) -> int:
         return len(self.exponents)
@@ -212,14 +204,6 @@ class MonomialIdeal:
 
     def __reduce__(self):  # unpickled slot state would go through the frozen __setattr__
         return MonomialIdeal._from_minimal, (self.nvars, self.exponents)
-
-    def __eq__(self, other):  # spelled out: ideals key the spec's power cache
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.nvars == other.nvars and self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.exponents))
 
     @property
     def gens(self) -> frozenset[Monomial]:

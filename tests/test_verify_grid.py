@@ -1,9 +1,12 @@
-"""The grid verifiers' row walk against the per-cell reference loop of
+"""The grid verifiers' walk against the per-cell reference loop of
 ``oracles.reference_verify_grid`` (``locate`` and ``unimodular_decomposition``
-for every cell), on intact and tampered generators, Hilbert chains and cones;
-and ``verify_generation``'s all-degree certificate, which must hold on every
-intact input and fail on every tampered one, leaving the verdict to the walk."""
+for every cell), on intact and tampered generators, Hilbert chains and cones,
+and on fans whose cones or chains are out of order or missing, where the walk
+reports and never raises; and ``verify_generation``'s all-degree certificate,
+which must hold on every intact input and fail on every tampered one, leaving
+the verdict to the walk."""
 
+from random import Random
 from types import SimpleNamespace
 
 import pytest
@@ -505,6 +508,81 @@ def _verify_spec_without_cones(r_max, s_max):
 def test_a_fan_without_cones_fails_every_cell(verify, reason):
     """No cone holds a cell, so none decomposes: a report, not an IndexError."""
     assert _outcome(verify, 2, 2) == (False, 9, 9, P(0, 0), reason)
+
+
+# Tamperings of a fan's order: its cones shuffled (each chain moved along
+# with its cone), one chain shuffled, two neighbours of one chain swapped, or
+# its last chain dropped.  ``locate`` can then run past the last cone, and a
+# cone can be left without a chain.
+ORDER_TAMPERINGS = ("shuffled_cones", "shuffled_chain", "swapped_neighbours", "dropped_chain")
+
+
+def _reordered_fan(fan, kind, rng):
+    """A stand-in for ``fan`` with one tampering of ``ORDER_TAMPERINGS``."""
+    cones, chains = list(fan.cones), list(fan.chains)
+    if kind == "shuffled_cones":
+        order = list(range(len(cones)))
+        rng.shuffle(order)
+        cones, chains = [cones[k] for k in order], [chains[k] for k in order]
+    elif kind == "dropped_chain":
+        chains.pop()
+    else:  # every fan has a cone whose rays differ, so a chain of 2 or more
+        i = rng.choice([i for i, chain in enumerate(chains) if len(chain) > 1])
+        chain = list(chains[i])
+        if kind == "shuffled_chain":
+            rng.shuffle(chain)
+        else:
+            j = rng.randrange(len(chain) - 1)
+            chain[j], chain[j + 1] = chain[j + 1], chain[j]
+        chains[i] = tuple(chain)
+    return SimpleNamespace(cones=tuple(cones), chains=tuple(chains))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(_pairs),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.sampled_from(ORDER_TAMPERINGS),
+    st.randoms(use_true_random=False),
+)
+@example(([5, 2], [2, 3]), 4, 4, "dropped_chain", Random(0))
+def test_walk_reports_on_a_reordered_fan(ab, r_max, s_max, kind, rng):
+    """On a fan whose cones or chains are out of order, or which has one
+    chain fewer than it has cones, ``verify_generation`` returns a report,
+    never raises.  Where the per-cell reference answers, the reports agree;
+    where it raises IndexError (``locate`` ran past the last cone, or the
+    cone has no chain), some cell has no chain to decompose along, so the
+    report is a failure."""
+    a, b = ab
+    gs = intersection_generators(a, b)
+    gens = GeneratorSet(gs.generators, _reordered_fan(gs.fan, kind, rng))
+    report = verify_generation(a, b, gens, r_max, s_max)
+    try:
+        expected = reference_verify_generation(a, b, gens, r_max, s_max)
+    except IndexError:
+        assert not report.passed
+    else:
+        assert report == expected
+
+
+def test_verify_fan_algebra_fails_the_cells_of_a_cone_without_a_chain():
+    """A spec whose fan lacks its last chain fails exactly the cells of its
+    last cone, with the first reason, and passes the others."""
+    spec = intersection_as_fan_algebra((5, 2), (2, 3))
+    gens = fan_algebra_generators(spec)
+    fan = SimpleNamespace(cones=spec.fan.cones, chains=spec.fan.chains[:-1])
+    spec = FanAlgebraSpec(
+        spec.variables,
+        spec.ideals,
+        tuple(FanLinearFunction(fan, f.pieces) for f in spec.functions),
+    )
+    last = [
+        P(r, s) for r in range(5) for s in range(5) if locate(fan, P(r, s)) == len(fan.cones) - 1
+    ]
+    assert _outcome(verify_fan_algebra, spec, gens, 4, 4) == (
+        False, 25, len(last), last[0], "no decomposition into available generator degrees"
+    )
 
 
 @pytest.mark.parametrize("verify", [_verify_intersection, _verify_spec])

@@ -97,14 +97,21 @@ EXTRAS += [["generators", "--ideal-i", "x^", "--ideal-j", "y"]]
 
 # fan-algebra specs: a principal power one past the default cap (exit 3,
 # raised by the closed form), a non-principal spec on three cones, whose
-# components fold principal powers into one translate, and a file with an
-# unknown field (exit 2)
+# components fold principal powers into one translate, a non-principal spec
+# whose fan has degenerate cones on both (0,1) and (1,0), its pieces those of
+# intersection_as_fan_algebra(a, b), walked over cells on both axes, and a
+# file with an unknown field (exit 2)
 SPECS = {
     "cap": {"variables": ["x"], "a": [1], "b": [1], "ideals": [["x"]],
             "pieces": [[[0, 1000001], [1000001, 0]]]},
     "two-ideal": {"variables": ["x", "y"], "a": [2, 1], "b": [1, 2],
                   "ideals": [["x", "y^2"], ["y"]],
                   "pieces": [[[0, 1], [2, 0], [2, 0]], [[0, 2], [0, 2], [1, 0]]]},
+    "degenerate": {"variables": ["x", "y", "z"], "a": [2, 2, 0], "b": [0, 1, 1],
+                   "ideals": [["x", "y"], ["y", "z"], ["x", "z^2"]],
+                   "pieces": [[[0, 0], [2, 0], [2, 0], [2, 0]],
+                              [[0, 1], [0, 1], [2, 0], [2, 0]],
+                              [[0, 1], [0, 1], [0, 1], [0, 0]]]},
     "unknown-field": {"variables": ["x"], "a": [1], "b": [1], "ideals": [["x"]],
                       "pieces": [[[1, 0], [0, 1]]], "extra": 1},
 }
@@ -113,6 +120,7 @@ SPEC_EXTRAS = [
     ("cap", ["--verify", "2x2"]),
     ("two-ideal", ["--verify", "6x6"]),
     ("two-ideal", ["--format", "json", "--verify", "4x4"]),
+    ("degenerate", ["--verify", "6x6"]),
     ("unknown-field", []),
 ]
 
