@@ -345,33 +345,31 @@ def verify_fan_algebra(
     spec: FanAlgebraSpec, gens: Iterable[BigradedMonomial], r_max: int, s_max: int
 ) -> VerificationReport:
     """Check that every graded component on [0..r_max] x [0..s_max] equals the
-    product of generator components along the bracketing unimodular pair of
-    Hilbert basis elements of (r, s).
+    product of generator components along the Hilbert basis elements that
+    ``decompose_over`` writes (r, s) with.
 
     The grid bounds are checked, and a grid of more cells than the candidate
     cap raises PowerCapError, first.  Then a spec of principal ideals is
     tried against the all-degree certificate ``_principal_certified``, in
     time independent of the grid; when it holds the report is a pass,
-    because the walk below would pass every cell without raising.  The
-    certificate's chain check places each cell p in the cone i the walk
-    takes, as p = alpha*l + beta*h along a det-1 pair (h, l) of chain i with
-    alpha, beta >= 0.  The walk's product side takes principal powers only,
-    which raise only when alpha or beta passes the cap, and
-    alpha + beta <= r + s < cells <= cap; translates never raise.  Its
-    component side takes powers piece_ik(p), in [0, cap] by the piece
-    checks.  Cone i's pieces are linear, so with A_e the supplied ideal at
-    e, equal to cone i's component there, A_l^alpha * A_h^beta is
-    x^(sum_k piece_ik(p)*g_k), the component at p, where x^g_k generates
-    I_k.
+    because the walk below would pass every cell without raising.  By the
+    certificate's chain check, the walk writes each cell p of cone i as
+    alpha*l + beta*h with alpha, beta >= 0, (h, l) a det-1 pair of chain i.
+    Its product side takes principal powers only, which raise only when
+    alpha or beta passes the cap, and alpha + beta <= r + s < cells <= cap;
+    translates never raise.  Its component side takes powers piece_ik(p), in
+    [0, cap] by the piece checks.  Cone i's pieces are linear, so with A_e
+    the supplied ideal at e, equal to cone i's component there,
+    A_l^alpha * A_h^beta is x^(sum_k piece_ik(p)*g_k), the component at p,
+    where x^g_k generates I_k.
 
     Otherwise the grid is walked, each cell placed on its own by ``locate``
-    and one bisection of its cone's chain, its pair's determinant 1 checked
-    there (see ``generators._verify_grid``), and its report, or its error,
-    is the verdict.  The component at a Hilbert degree is rebuilt
-    from the supplied generators, so missing or tampered generators surface
-    as reported failures.  Both sides of the comparison take their ideal
-    powers from the spec, which keeps those of an earlier
-    fan_algebra_generators call.
+    and written along its cone's chain by ``decompose_over`` (see
+    ``generators._verify_grid``), and its report, or its error, is the
+    verdict.  The component at a Hilbert degree is rebuilt from the supplied
+    generators, so missing or tampered generators surface as reported
+    failures.  Both sides of the comparison take their ideal powers from the
+    spec, which keeps those of an earlier fan_algebra_generators call.
     """
     total = _grid_cells(r_max, s_max)
     cap = _candidate_cap()
@@ -388,7 +386,7 @@ def verify_fan_algebra(
     )
     return _verify_grid(
         spec.fan, ideals, r_max, s_max,
-        lambda low, m, high, n: _product_of_powers(spec, ((low, m), (high, n)), cap),
+        lambda factors: _product_of_powers(spec, factors, cap),
         lambda i, r, s: _component_on_cone(spec, i, _point(r, s), cap),
         reasons,
     )

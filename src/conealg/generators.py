@@ -9,12 +9,11 @@ asymptotic containment limits, and runs the bounded-grid verifier that
 reconstructs every graded component from the generators.
 """
 
-from bisect import bisect_left
 from math import gcd
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .fans import Fan, _check_pair, build_fan, fan_order, locate
-from .lattice import Cone2, LatticePoint2, _point, _value_class, det
+from .lattice import Cone2, LatticePoint2, _point, _value_class, decompose_over
 from .monomials import (
     BigradedMonomial,
     PowerCapError,
@@ -103,55 +102,35 @@ def _verify_grid(
     available: Mapping[LatticePoint2, object],
     r_max: int,
     s_max: int,
-    product: Callable[[object, int, object, int], object],
+    product: Callable[[Iterable[tuple[object, int]]], object],
     component: Callable[[int, int, int], object],
     reasons: tuple[str, str],
 ) -> VerificationReport:
-    """The grid loop of both verifiers, one cell at a time in row-major order.
-    Each p = (r, s) lies in cone i = ``locate(fan, p)``, and one bisection of
-    its Hilbert chain ``fan.chains[i]`` finds the bracketing pair (h, l), the
-    first element e with det(e, p) >= 0 and the one before it (else the
-    first pair).  Then alpha*l + beta*h = det(l, h)*p, with alpha = det(p, h)
-    and beta = det(l, p), so det(l, h) = 1 is checked (or p is the origin); a
-    one-element chain gives a multiple of it, an empty one only the origin.
-    If that fails, a multiplicity is negative, a degree used is not in
-    ``available``, or i has no cone or no chain (a hand-built fan), the cell
-    fails with ``reasons[0]``; else ``product(available[l], alpha,
-    available[h], beta)`` (None if absent with multiplicity 0) must equal
-    ``component(i, r, s)``, called once per cell, or it fails with
-    ``reasons[1]``.  It reads no cap: the verifiers call ``_grid_cells``
-    first.  A fan with no cones holds no cell, so every cell fails with
-    ``reasons[0]``."""
+    """The grid loop of both verifiers, one cell at a time in row-major order:
+    p = (r, s) lies in cone i = ``locate(fan, p)``, and ``decompose_over``
+    writes it along that cone's chain.  If that gives None or uses a degree
+    not in ``available``, or if i has no cone or no chain (a hand-built fan),
+    the cell fails with ``reasons[0]``; else ``product`` of the (``available``
+    value, multiplicity) pairs must equal ``component(i, r, s)``, called once
+    per cell, or it fails with ``reasons[1]``.  It reads no cap: the
+    verifiers call ``_grid_cells`` first.  A fan with no cones holds no cell,
+    so every cell fails with ``reasons[0]``."""
     total = (r_max + 1) * (s_max + 1)
     cones, chains = fan.cones, fan.chains
     if not cones:
         return VerificationReport(False, total, total, _point(0, 0), reasons[0])
-    placed = min(len(cones), len(chains))
+    placed = min(len(cones), len(chains))  # i >= placed: only a hand-built fan
+    factor = available.__getitem__
     failures = 0
     first = reason = None
     for r in range(r_max + 1):
         for s in range(s_max + 1):
             p = (r, s)
             i = locate(fan, p)
-            points = chains[i] if i < placed else None
-            if points is None:  # no cone or no chain at i: only a hand-built fan
-                ok = False
-            elif len(points) > 1:
-                j = bisect_left(points, True, key=lambda e: det(e, p) >= 0)
-                t = j - 1 if 0 < j < len(points) else 0
-                h, l = points[t], points[t + 1]
-                alpha, beta = det(p, h), det(l, p)
-                low, high = available.get(l), available.get(h)
-                ok = (det(l, h) == 1 or r == s == 0) and alpha >= 0 and beta >= 0
-            elif points:  # alpha >= 0, as chain elements lie in N^2
-                ((er, es),) = points
-                alpha, beta, low, high = (r + s) // (er + es), 0, available.get(points[0]), None
-                ok = alpha * er == r and alpha * es == s
-            else:
-                alpha, beta, low, high, ok = 0, 0, None, None, r == s == 0
-            if not ok or (alpha and low is None) or (beta and high is None):
+            parts = decompose_over(p, chains[i]) if i < placed else None
+            if parts is None or not available.keys() >= parts.keys():
                 why = reasons[0]
-            elif product(low, alpha, high, beta) == component(i, r, s):
+            elif product(zip(map(factor, parts), parts.values())) == component(i, r, s):
                 continue
             else:
                 why = reasons[1]
@@ -194,8 +173,8 @@ def _unimodular_chain(fan: Fan) -> Optional[list[LatticePoint2]]:
     list of points; else None.  The joined chain then splits the quadrant
     into subcones of determinant 1 in descending slope, each inside one
     cone: a cell p of the subcone (h, l) is det(p, h)*l + det(l, p)*h with
-    both multiplicities >= 0, the pair the grid walk takes for p, and a
-    degenerate cone's one-element chain adds no step."""
+    both multiplicities >= 0, as ``decompose_over`` writes it in the grid
+    walk, and a degenerate cone's one-element chain adds no step."""
     cones, chains = fan.cones, fan.chains
     if len(cones) != len(chains) or not all(chains):
         return None
@@ -264,12 +243,12 @@ def verify_generation(
     below would form, so the report is a pass.  If it fails, the grid is
     walked, and its report is the verdict.
 
-    Cell by cell (see ``_verify_grid``), write each (r, s) along the bracketing
-    unimodular pair of its cone's chain in ``gens.fan.chains``, add the
-    exponent tuples of the generators at those degrees (which must be in
-    ``gens``) with their multiplicities, and compare the sum, column by
-    column, with the tuple of max(r*a_k, s*b_k), computed for every cell by
-    the certificate's oracle.  Failures are reported, never raised.
+    Cell by cell (see ``_verify_grid``), write each (r, s) along its cone's
+    chain in ``gens.fan.chains`` by ``decompose_over``, add the exponent
+    tuples of the generators at those degrees (which must be in ``gens``)
+    with their multiplicities, and compare the sum, column by column, with
+    the tuple of max(r*a_k, s*b_k), computed for every cell by the
+    certificate's oracle.  Failures are reported, never raised.
     ``_grid_cells`` checks the grid first, certified or not; then a bad pair
     or coefficients of another length raise ValueError.
     """
@@ -285,10 +264,8 @@ def verify_generation(
         return VerificationReport(True, total, 0, None, None)
     zero = (0,) * len(a)
 
-    def product(
-        low: Optional[tuple[int, ...]], alpha: int, high: Optional[tuple[int, ...]], beta: int
-    ) -> tuple[int, ...]:
-        return tuple([alpha * x + beta * y for x, y in zip(low or zero, high or zero)])
+    def product(factors: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
+        return tuple(map(sum, zip(zero, *([m * x for x in v] for v, m in factors))))
 
     reasons = (
         "no decomposition into available generators",

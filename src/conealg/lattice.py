@@ -1,7 +1,8 @@
 """Exact 2D lattice geometry in the first quadrant.
 
 Primitive vectors, pointed rational cones given by two rays, Hilbert bases as
-slope-ordered chains, and decomposition of lattice points into basis elements.
+slope-ordered chains, and the search-free decomposition of a lattice point
+along such a chain: the bracketing det-1 pair and Cramer's rule.
 A point is its (r, s) pair: ``LatticePoint2`` is a tuple.  Public
 constructors and functions check their arguments; points and cones derived
 from checked values are built unchecked by ``_point`` and ``_cone``.
@@ -10,10 +11,11 @@ silent wraparound); every value is immutable and every operation is a pure
 function, safe for concurrent use.
 """
 
+from bisect import bisect_left
 from functools import cmp_to_key
 from math import gcd
 from operator import attrgetter, eq, ge, gt, itemgetter, le, lt
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 
 def _value_class(order: bool = False) -> Callable[[type], type]:
@@ -269,35 +271,32 @@ def hilbert_basis(c: Cone2) -> HilbertBasis2:
 
 
 def decompose_over(
-    p: LatticePoint2, elements: Iterable[LatticePoint2]
+    p: LatticePoint2, chain: Sequence[LatticePoint2]
 ) -> Optional[dict[LatticePoint2, int]]:
-    """Write p as a nonnegative integer combination of the given lattice points.
-
-    Elements are tried steepest-slope first with the largest feasible
-    multiplicity (greedy depth-first search, memoizing failed states); the
-    first success wins, making the result deterministic.  Returns a map from
-    element to positive multiplicity, empty for the origin, or None when no
-    combination exists.
-    """
-    order = [e for e in slope_descending(elements) if not e.is_origin()]
-    multiplicities = [0] * len(order)
-    failed: set[tuple[int, int, int]] = set()
-
-    def dfs(i: int, r: int, s: int) -> bool:
-        if r == 0 and s == 0:
-            return True
-        if i == len(order) or (i, r, s) in failed:
-            return False
-        e = order[i]
-        cap = min(r // e.r if e.r else r + s, s // e.s if e.s else r + s)
-        for m in range(cap, -1, -1):
-            if dfs(i + 1, r - m * e.r, s - m * e.s):
-                multiplicities[i] = m
-                return True
-        failed.add((i, r, s))
-        return False
-
-    if not dfs(0, p.r, p.s):
+    """Write p along ``chain``, the slope-descending Hilbert basis of its
+    cone, without search: consecutive elements h (steeper) and l span a
+    subcone of determinant 1 (Fulton, *Introduction to Toric Varieties* 2.6).
+    One bisection finds the first e with det(e, p) >= 0; l is e and h the
+    element before it (else the first pair), and by Cramer
+    alpha*l + beta*h = det(l, h)*p with alpha = det(p, h), beta = det(l, p).
+    Returns {l: alpha, h: beta} without zero entries, or None if a
+    multiplicity is negative or det(l, h) != 1 and p is not the origin.  A
+    chain [e] gives {e: m} if some m >= 0 has m*e = p, an empty chain {} at
+    the origin, and else None: a chain is never trusted, and never raises."""
+    r, s = p
+    if len(chain) < 2:  # an empty chain reads as [(0, 0)], which writes the origin only
+        e = chain[0] if chain else (0, 0)
+        m = (r + s) // (e[0] + e[1]) if e[0] + e[1] else 0
+        if m < 0 or m * e[0] != r or m * e[1] != s:
+            return None
+        return {e: m} if m else {}
+    j = bisect_left(chain, True, key=lambda e: e[0] * s - e[1] * r >= 0)
+    j = j if 0 < j < len(chain) else 1
+    (hr, hs), (lr, ls) = h, l = chain[j - 1], chain[j]
+    alpha, beta = r * hs - s * hr, lr * s - ls * r
+    if alpha < 0 or beta < 0 or (lr * hs - ls * hr != 1 and (r or s)):
         return None
-    return {e: m for e, m in zip(order, multiplicities) if m}
-
+    parts = {l: alpha} if alpha else {}
+    if beta:
+        parts[h] = beta
+    return parts

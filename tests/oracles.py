@@ -3,15 +3,16 @@
 These deliberately avoid the library's own algorithms: cone membership is
 solved with Fraction arithmetic (Cramer), irreducibles are found by scanning
 sums over the bounding box, decompositions by exhaustive multiplicity
-enumeration, power containment and minimal generators by raw divisibility,
-subadditivity witnesses by scanning all small pairs, redundant
+enumeration or by a greedy depth-first search over any set of elements
+(``search_decomposition``), power containment and minimal generators by raw
+divisibility, subadditivity witnesses by scanning all small pairs, redundant
 intersection-algebra generators by scanning every split of their degree, and
 ideal intersections from the pairwise least common multiples of the generators.
 
 The grid verifiers' row walk is checked against a reference driver instead:
 a per-cell loop that finds every cell's cone and chain pair by bisection
-(``locate`` and ``unimodular_decomposition``) and checks every cell's
-recombination.  Its fan-algebra components multiply every power in turn
+(``locate`` and ``unimodular_decomposition``, which is also the reference
+for ``lattice.decompose_over``) and checks every cell's recombination.  Its fan-algebra components multiply every power in turn
 (``reference_product_of_powers``), where the library folds the principal
 ones into one translate; ``iterated_power`` forms A^m by m products with A,
 where the library takes a principal power in closed form.
@@ -132,6 +133,41 @@ def all_decompositions(p: LatticePoint2, elements) -> list[dict[LatticePoint2, i
         if r == p.r and s == p.s:
             found.append({e: m for e, m in zip(elements, combo) if m})
     return found
+
+
+def search_decomposition(p: LatticePoint2, elements) -> dict[LatticePoint2, int] | None:
+    """Write p as a nonnegative integer combination of the given points of N^2.
+
+    Elements are tried steepest-slope first (ties by coordinates) with the
+    largest feasible multiplicity (greedy depth-first search, memoizing failed
+    states); the first success wins, making the result deterministic.  Returns
+    a map from element to positive multiplicity, empty for the origin, or None
+    when no combination exists.
+    """
+    order = sorted(
+        (e for e in elements if not e.is_origin()),
+        key=lambda e: (e.r != 0, -Fraction(e.s, e.r) if e.r else 0, e),
+    )
+    multiplicities = [0] * len(order)
+    failed: set[tuple[int, int, int]] = set()
+
+    def dfs(i: int, r: int, s: int) -> bool:
+        if r == 0 and s == 0:
+            return True
+        if i == len(order) or (i, r, s) in failed:
+            return False
+        e = order[i]
+        cap = min(r // e.r if e.r else r + s, s // e.s if e.s else r + s)
+        for m in range(cap, -1, -1):
+            if dfs(i + 1, r - m * e.r, s - m * e.s):
+                multiplicities[i] = m
+                return True
+        failed.add((i, r, s))
+        return False
+
+    if not dfs(0, p.r, p.s):
+        return None
+    return {e: m for e, m in zip(order, multiplicities) if m}
 
 
 def power_contained(base_small, base_big, m: int, n: int) -> bool:

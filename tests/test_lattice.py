@@ -10,13 +10,15 @@ from conealg import (
     cone,
     hilbert_basis,
 )
-from conealg.lattice import decompose_over, det, primitive, slope_descending
+from conealg.lattice import _point, decompose_over, det, primitive, slope_descending
 from oracles import (
     all_decompositions,
     brute_irreducibles,
     frac_cone_contains,
+    search_decomposition,
     unimodular_decomposition,
 )
+from strategies import column_pairs
 
 P = LatticePoint2
 
@@ -199,9 +201,111 @@ def test_slope_descending_order():
 
 def test_decompose_examples():
     basis = hilbert_basis(cone(P(2, 5), P(0, 1)))
-    assert decompose_over(P(0, 0), basis.elements) == {}
-    assert decompose_over(P(2, 6), basis.elements) == {P(2, 5): 1, P(0, 1): 1}
-    assert decompose_over(P(4, 10), basis.elements) == {P(2, 5): 2}
+    assert search_decomposition(P(0, 0), basis.elements) == {}
+    assert search_decomposition(P(2, 6), basis.elements) == {P(2, 5): 1, P(0, 1): 1}
+    assert search_decomposition(P(4, 10), basis.elements) == {P(2, 5): 2}
+
+
+def test_decompose_over_takes_the_bracketing_pair_without_search():
+    """The pair of the chain that brackets p, not the search's first hit:
+    (2, 6) = 2*(1, 3), where the steepest-first search over the same
+    elements gives (2, 5) + (0, 1); both lie in the cone."""
+    chain = hilbert_basis(cone(P(0, 1), P(2, 5))).elements
+    assert chain == (P(0, 1), P(1, 3), P(2, 5))
+    assert decompose_over(P(0, 0), chain) == {}
+    assert decompose_over(P(2, 6), chain) == {P(1, 3): 2}
+    assert list(decompose_over(P(3, 8), chain).items()) == [(P(2, 5), 1), (P(1, 3), 1)]
+    assert decompose_over(P(0, 4), chain) == {P(0, 1): 4}
+    assert decompose_over(P(4, 10), chain) == {P(2, 5): 2}
+    assert decompose_over(P(4, 10), [P(2, 5)]) == {P(2, 5): 2}
+    assert decompose_over(P(0, 0), [P(2, 5)]) == {}
+
+
+def test_decompose_over_answers_none_where_the_pair_does_not_write_p():
+    chain = [P(0, 1), P(1, 3), P(2, 5)]
+    assert decompose_over(P(5, 1), chain) is None  # outside the cone
+    # a det-2 step: the search writes (2, 6) as (2, 5) + (0, 1), the pair cannot
+    assert decompose_over(P(2, 6), [P(0, 1), P(2, 5)]) is None
+    assert search_decomposition(P(2, 6), [P(0, 1), P(2, 5)]) == {P(2, 5): 1, P(0, 1): 1}
+    assert decompose_over(P(1, 4), [P(0, 1), P(2, 5)]) is None
+    assert decompose_over(P(1, 3), [P(2, 5)]) is None  # off the ray
+    assert decompose_over(P(2, 4), [_point(-1, -2)]) is None  # a negative multiple
+    assert decompose_over(P(1, 3), []) is None
+    assert decompose_over(P(0, 0), []) == {}
+
+
+def test_decompose_over_an_origin_element_writes_only_the_origin():
+    """A chain holding only the origin gives multiplicity 0: the origin
+    decomposes, every other point does not, and nothing divides by zero."""
+    assert decompose_over(P(0, 0), [P(0, 0)]) == {}
+    assert decompose_over(P(0, 1), [P(0, 0)]) is None
+    assert decompose_over(P(3, 2), [P(0, 0)]) is None
+    assert decompose_over(P(3, 2), [P(0, 0), P(1, 0)]) is None  # det 0 step
+
+
+# Tamperings of a fan chain for the comparison with the oracle: an interior
+# element removed (a det-2 step), the chain reversed or shuffled, an element
+# repeated, the origin inserted, a one-element or empty chain, or a det-1 lap
+# of the whole circle, through (1,0), (0,-1) and (-1,0), put in front.
+DECOMPOSE_TAMPERINGS = (
+    "none", "interior", "reversed", "shuffled", "repeat", "origin", "single", "empty", "lap"
+)
+
+
+@st.composite
+def chains_and_points(draw):
+    """A Hilbert chain of a ``build_fan`` fan, tampered by one of
+    ``DECOMPOSE_TAMPERINGS``, and a point: any point of a small box, or a
+    nonnegative combination of up to three elements of the chain."""
+    fan = build_fan(*draw(column_pairs(max_entry=9, max_columns=4)))
+    chain = list(draw(st.sampled_from(fan.chains)))
+    kind = draw(st.sampled_from(DECOMPOSE_TAMPERINGS))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "interior" and len(chain) > 2:
+        del chain[rng.randrange(1, len(chain) - 1)]
+    elif kind == "reversed":
+        chain.reverse()
+    elif kind == "shuffled":
+        rng.shuffle(chain)
+    elif kind == "repeat":
+        k = rng.randrange(len(chain))
+        chain.insert(k, chain[k])
+    elif kind == "origin":
+        chain.insert(rng.randrange(len(chain) + 1), P(0, 0))
+    elif kind == "single":
+        chain = [rng.choice(chain)]
+    elif kind == "empty":
+        chain = []
+    elif kind == "lap":
+        chain = [_point(r, s) for r, s in [(0, 1), (1, 0), (0, -1), (-1, 0)]] + chain
+    if chain and draw(st.booleans()):
+        p = P(0, 0)
+        for e in rng.sample(chain, min(3, len(chain))):
+            m = rng.randint(0, 4)
+            p = _point(p.r + m * e.r, p.s + m * e.s)
+        assume(p.r >= 0 and p.s >= 0)
+    else:
+        p = P(draw(st.integers(0, 30)), draw(st.integers(0, 30)))
+    return tuple(chain), p
+
+
+@settings(max_examples=400, deadline=None)
+@given(chains_and_points())
+@example(((P(0, 1), P(2, 5)), P(2, 6)))
+@example(((P(0, 1), P(1, 0)), P(3, 2)))
+@example(((), P(1, 1)))
+@example(((_point(-1, -2),), P(2, 4)))
+def test_decompose_over_matches_the_unimodular_oracle(chain_and_point):
+    """Wherever ``oracles.unimodular_decomposition`` answers (it divides by
+    zero on a one-element chain holding the origin), ``decompose_over``
+    gives its pairs, l before h, or None where it gives None."""
+    chain, p = chain_and_point
+    try:
+        expected = unimodular_decomposition(p, chain)
+    except ZeroDivisionError:
+        assume(False)
+    parts = decompose_over(p, chain)
+    assert (None if parts is None else list(parts.items())) == expected
 
 
 def test_decompose_agrees_with_exhaustive_oracle():
@@ -287,7 +391,7 @@ def test_unimodular_decomposition_against_search_and_oracle(a, b, cone_pick, l1,
             sum(m * max(e.r * x, e.s * y) for e, m in parts) for x, y in zip(a, b)
         )
 
-    searched = decompose_over(p, chain)
+    searched = search_decomposition(p, chain)
     assert coefficient_product(pairs) == coefficient_product(searched.items())
     assert coefficient_product(pairs) == tuple(max(p.r * x, p.s * y) for x, y in zip(a, b))
 

@@ -460,8 +460,8 @@ def test_row_walk_matches_locate_and_bisection(a, b, r_max, s_max):
     available = {e: e for chain in fan.chains for e in chain}
     visits = []
 
-    def product(low, alpha, high, beta):
-        return sorted((e, m) for e, m in ((low, alpha), (high, beta)) if m)
+    def product(factors):
+        return sorted(factors)
 
     def component(i, r, s):
         visits.append((i, r, s))
@@ -582,6 +582,45 @@ def test_verify_fan_algebra_fails_the_cells_of_a_cone_without_a_chain():
     ]
     assert _outcome(verify_fan_algebra, spec, gens, 4, 4) == (
         False, 25, len(last), last[0], "no decomposition into available generator degrees"
+    )
+
+
+def test_verify_generation_reports_a_chain_holding_only_the_origin():
+    """The origin as a one-element chain writes only the origin: the other
+    cells of its cone fail with the first reason, and nothing divides by
+    zero."""
+    gs = intersection_generators((5, 2), (2, 3))
+    fan = SimpleNamespace(cones=gs.fan.cones, chains=((P(0, 0),),) + gs.fan.chains[1:])
+    gens = GeneratorSet(gs.generators, fan)
+    assert _outcome(verify_generation, (5, 2), (2, 3), gens, 3, 3) == (
+        False, 16, 4, P(0, 1), "no decomposition into available generators"
+    )
+
+
+def test_verify_fan_algebra_reports_a_chain_holding_only_the_origin():
+    spec = intersection_as_fan_algebra((5, 2), (2, 3))
+    gens = fan_algebra_generators(spec)
+    fan = Fan(spec.fan.a, spec.fan.b, spec.fan.order, spec.fan.cones)  # hand-built
+    vars(fan)["chains"] = ((P(0, 0),),) + spec.fan.chains[1:]
+    spec = FanAlgebraSpec(
+        spec.variables,
+        spec.ideals,
+        tuple(FanLinearFunction(fan, f.pieces) for f in spec.functions),
+    )
+    assert _outcome(verify_fan_algebra, spec, gens, 3, 3) == (
+        False, 16, 4, P(0, 1), "no decomposition into available generator degrees"
+    )
+
+
+def test_walk_fails_the_cells_past_the_last_cone():
+    """With only the first cone kept and every chain, ``locate`` places the
+    cells below that cone past it: they have no cone, so they fail with the
+    first reason even though a chain sits at their index."""
+    gs = intersection_generators((5, 2), (2, 3))
+    fan = SimpleNamespace(cones=gs.fan.cones[:1], chains=gs.fan.chains)
+    gens = GeneratorSet(gs.generators, fan)
+    assert _outcome(verify_generation, (5, 2), (2, 3), gens, 3, 3) == (
+        False, 16, 11, P(1, 0), "no decomposition into available generators"
     )
 
 
